@@ -2,6 +2,8 @@
 // executor correctness against reference scans, and maintenance simulation.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "cost/correlation_cost_model.h"
 #include "exec/executor.h"
 #include "exec/maintenance.h"
@@ -373,6 +375,83 @@ TEST_F(ExecTest, SharedPoolMatchesExplicitSingleThread) {
     EXPECT_EQ(a.pages_read, b.pages_read) << q.id;
     EXPECT_EQ(a.seeks, b.seeks) << q.id;
   }
+}
+
+// ---------- Golden snapshot across commits ----------
+
+// The determinism suite above compares runs within one build; this pins the
+// executor's output across commits. Every SSB query on the base table and
+// on an orderdate re-clustering with a CM and a secondary B+Tree, at 1 and 8
+// threads and two partition widths, folds into one FNV-1a hash over the
+// bits of `aggregate` and `seconds` plus the I/O counters and the path. Any
+// change to the constant means a refactor moved a result, not merely a
+// schedule.
+class ExecGoldenTest : public ExecTest {
+ protected:
+  static uint64_t Fnv1a(const void* data, size_t n, uint64_t h) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= 1099511628211ull;
+    }
+    return h;
+  }
+  template <typename T>
+  static uint64_t Mix(T v, uint64_t h) {
+    return Fnv1a(&v, sizeof v, h);
+  }
+};
+
+// Captured 2026-10-16 from the per-range partition executor (before the
+// single plan-pass kernel), gcc 12 -O2, SSB scale 0.02, 1 KB pages.
+constexpr uint64_t kGoldenExecSsb = 0x4c7be1faf444cf7bull;
+
+TEST_F(ExecGoldenTest, SsbMatchesSnapshot) {
+  Materializer mat(universe_, Disk());
+  auto base = mat.Materialize(BaseSpec());
+  MvSpec re = BaseSpec();
+  re.is_base = false;
+  re.name = "re_od";
+  re.clustered_key = {"lo_orderdate"};
+  CmSpec cm;
+  cm.key_columns = {"d_yearmonthnum"};
+  auto reclustered =
+      mat.Materialize(re, {cm}, {"lo_discount", "lo_orderkey"});
+  // SSB never picks the rid-list path, so a point query on the indexed
+  // orderkey (plus a provenance predicate, gathered per rid) pins it too.
+  std::vector<Query> queries = workload_->queries;
+  Query point;
+  point.id = "P1";
+  point.fact_table = "lineorder";
+  point.predicates = {Predicate::Eq("lo_orderkey", 101),
+                      Predicate::Range("d_year", 1993, 1996)};
+  point.aggregates = {{"lo_extendedprice", "lo_discount"}};
+  queries.push_back(point);
+
+  uint64_t h = 1469598103934665603ull;
+  for (size_t threads : {1u, 8u}) {
+    ThreadPool pool(threads);
+    for (size_t partition_rows : {size_t{1024}, ExecOptions{}.partition_rows}) {
+      ExecOptions eo;
+      eo.partition_rows = partition_rows;
+      eo.pool = &pool;
+      QueryExecutor exec(registry_, model_, eo);
+      for (const MaterializedObject* obj : {base.get(), reclustered.get()}) {
+        for (const auto& q : queries) {
+          DiskModel disk(Disk());
+          const QueryRunResult r = exec.Run(q, *obj, &disk);
+          h = Mix(std::bit_cast<uint64_t>(r.aggregate), h);
+          h = Mix(std::bit_cast<uint64_t>(r.seconds), h);
+          h = Mix(r.rows_output, h);
+          h = Mix(r.pages_read, h);
+          h = Mix(r.seeks, h);
+          h = Mix(r.fragments, h);
+          h = Mix(static_cast<int32_t>(r.path), h);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(h, kGoldenExecSsb) << std::hex << "0x" << h;
 }
 
 // ---------- Maintenance (Fig 14 property) ----------
