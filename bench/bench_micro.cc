@@ -16,17 +16,13 @@
 // above N ns/span) — the obs_overhead_smoke ctest pins the <25 ns contract.
 // `--only=<substr>` runs just the matching cases.
 //
-// The parallel_for_* cases A/B the two ThreadPool::ParallelFor engines
-// (docs/SCHEDULER.md) on an 8-worker pool: a uniform spin loop where the
-// work-stealing path must match the fixed-chunk path (scheduling overhead
-// only — the lazy-split check is one relaxed load per iteration), and a
-// planted power-law-skewed loop (costs ~1/(n-i), heaviest last, so the
-// fat tail lands inside the final fixed chunk) where lazy binary splitting
-// must rebalance. Sleep-based skewed iterations overlap regardless of host
-// core count, so the imbalance signal survives 1-core CI runners.
-// `--assert-skew-speedup=X` gates steal-vs-fixed on the skewed case: exit 1
-// unless the speedup is >= X and Welch-significant at the 5% level — the
-// scheduler_bench_smoke ctest pins the >=1.5x contract from ISSUE 8.
+// The parallel_for_* cases time ThreadPool::ParallelFor's work-stealing
+// scheduler (docs/SCHEDULER.md) on an 8-worker pool: a uniform spin loop
+// (scheduling overhead only — the lazy-split check is one relaxed load per
+// iteration) and a planted power-law-skewed loop (costs ~1/(n-i), heaviest
+// last) where lazy binary splitting must rebalance. Sleep-based skewed
+// iterations overlap regardless of host core count, so the imbalance
+// signal survives 1-core CI runners; the bench-regress baseline gates both.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -113,8 +109,6 @@ int main(int argc, char** argv) {
   g_only = FlagValue(argc, argv, "only", "");
   const double assert_span_ns =
       FlagDouble(argc, argv, "assert-span-ns", 0.0);
-  const double assert_skew_speedup =
-      FlagDouble(argc, argv, "assert-skew-speedup", 0.0);
   const size_t big_rows = h.fast() ? 100000 : 1000000;
 
   PrintHeader("substrate microbenchmarks (per-iteration, 95% CI)",
@@ -187,18 +181,14 @@ int main(int argc, char** argv) {
             [&] { Consume(SolveLp(lp)); });
   }
 
-  // --- ParallelFor engines: work-stealing vs legacy fixed-chunk on a
-  // dedicated 8-worker pool (the thread count the ISSUE 8 gate names; the
-  // shared pool stays untouched so CORADD_THREADS doesn't skew the A/B).
-  std::vector<double> skew_steal, skew_fixed;
+  // --- ParallelFor on a dedicated 8-worker pool (the shared pool stays
+  // untouched so CORADD_THREADS doesn't skew the numbers).
   {
     ThreadPool pool(8, "micro");
-    const ParallelForOptions steal{ParallelForStrategy::kWorkStealing};
-    const ParallelForOptions fixed{ParallelForStrategy::kFixedChunk};
 
-    // Uniform: 8192 identical ~40 ns spin bodies. Both engines are bound by
-    // the body; the work-stealing path may only add its one-relaxed-load
-    // split check on top, which the bench-regress baseline gate pins.
+    // Uniform: 8192 identical ~40 ns spin bodies. The loop is bound by the
+    // body; the scheduler may only add its one-relaxed-load split check on
+    // top, which the bench-regress baseline gate pins.
     constexpr size_t kUniformN = 8192;
     auto spin_body = [](size_t i) {
       double acc = static_cast<double>(i) + 1.0;
@@ -206,21 +196,19 @@ int main(int argc, char** argv) {
       Consume(acc);
     };
     RunCase(h, "parallel_for_uniform",
-            [&] { pool.ParallelFor(kUniformN, spin_body, steal); });
-    RunCase(h, "parallel_for_uniform_fixed",
-            [&] { pool.ParallelFor(kUniformN, spin_body, fixed); });
+            [&] { pool.ParallelFor(kUniformN, spin_body); });
 
     // Skewed: planted power-law sleep costs growing toward the end of the
     // range — cost(i) = max(3500/(n-i), 40) us over 256 iterations (~20 ms
-    // total), the work-list-sorted-ascending-by-size shape where the fat
-    // tail lands in the final fixed chunk: iterations [248, 256) alone cost
-    // ~9.5 ms, serialized on whichever worker claims that chunk while the
-    // rest sit idle. Lazy splitting publishes the heavy *upper* half of a
-    // range before running the cheap half, so thieves peel the tail apart
-    // down to single iterations and the wall clock is bounded by the one
-    // 3.5 ms heaviest body. The 40 us floor keeps every sleep above
-    // timer-slack noise. (Heaviest-*first* power laws are the scheduler's
-    // worst case — the owner keeps the lower half, so the head chain
+    // total), the work-list-sorted-ascending-by-size shape: iterations
+    // [248, 256) alone cost ~9.5 ms, which static chunking would serialize
+    // on one worker while the rest sit idle. Lazy splitting publishes the
+    // heavy *upper* half of a range before running the cheap half, so
+    // thieves peel the tail apart down to single iterations and the wall
+    // clock is bounded by the one 3.5 ms heaviest body. The 40 us floor
+    // keeps every sleep above timer-slack noise. (Heaviest-*first* power
+    // laws are the scheduler's worst case — the owner keeps the lower
+    // half, so the head chain
     // serializes — which is exactly why the split rule gives away the
     // unstarted upper half: sorted work lists put the fat items at one end,
     // and the engine must win when that end is the stealable one.)
@@ -231,12 +219,8 @@ int main(int argc, char** argv) {
           std::max<int64_t>(3500 / static_cast<int64_t>(kSkewN - i), 40));
     }
     auto skew_body = [&](size_t i) { std::this_thread::sleep_for(cost[i]); };
-    skew_steal = RunCase(h, "parallel_for_skewed", [&] {
-                   pool.ParallelFor(kSkewN, skew_body, steal);
-                 }).samples;
-    skew_fixed = RunCase(h, "parallel_for_skewed_fixed", [&] {
-                   pool.ParallelFor(kSkewN, skew_body, fixed);
-                 }).samples;
+    RunCase(h, "parallel_for_skewed",
+            [&] { pool.ParallelFor(kSkewN, skew_body); });
   }
 
   // --- Observability substrate costs. Tracing state is set explicitly per
@@ -270,26 +254,6 @@ int main(int argc, char** argv) {
 
   const int rc = h.Finish();
   if (rc != 0) return rc;
-  if (assert_skew_speedup > 0.0 && !skew_steal.empty() &&
-      !skew_fixed.empty()) {
-    const double steal_mean = Summarize(skew_steal).mean;
-    const double fixed_mean = Summarize(skew_fixed).mean;
-    const double speedup = steal_mean > 0.0 ? fixed_mean / steal_mean : 0.0;
-    const benchkit::WelchResult w =
-        benchkit::WelchTTest(skew_fixed, skew_steal);
-    if (speedup < assert_skew_speedup || !w.significant) {
-      std::fprintf(stderr,
-                   "FAIL: parallel_for_skewed steal-vs-fixed speedup %.2fx "
-                   "(need >= %.2fx, Welch %ssignificant, t=%.2f df=%.1f)\n",
-                   speedup, assert_skew_speedup, w.significant ? "" : "NOT ",
-                   w.t, w.df);
-      return 1;
-    }
-    std::printf(
-        "parallel_for_skewed speedup %.2fx over fixed-chunk (>= %.2fx, "
-        "Welch t=%.2f df=%.1f, significant)\n",
-        speedup, assert_skew_speedup, w.t, w.df);
-  }
   if (assert_span_ns > 0.0 && CaseSelected("obs_span_disabled")) {
     // Sanitizer builds intercept every memory access; the contract is for
     // production builds, so the budget widens rather than gates noise.

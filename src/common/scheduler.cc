@@ -14,9 +14,8 @@ namespace sched {
 namespace {
 
 // Reserved deque slots for threads that are not workers of this pool (the
-// external caller of a top-level ParallelFor, plus the rare legacy-path
-// thread that drains a helper task via RunOneQueuedTask). When all are
-// claimed, surplus externals participate in no-deque mode.
+// external callers of top-level ParallelFors). When all are claimed,
+// surplus externals participate in no-deque mode.
 constexpr size_t kExtraSlots = 4;
 
 // Dry sweeps (each a full scan of initial ranges + every deque, separated

@@ -19,7 +19,7 @@
 // thread instead steals-then-parks: it hunts for claimable work and, when
 // the loop's remainder is entirely in-flight on other threads, blocks on a
 // condition variable until a split publishes new work or the loop
-// finishes — replacing the 1 ms-nap busy-help spin of the fixed-chunk path.
+// finishes.
 //
 // Determinism contract (same as ThreadPool::ParallelFor has always had):
 // fn(i) runs exactly once per index — initial ranges partition [0, n),
@@ -59,8 +59,8 @@ namespace sched {
 /// Half-open iteration range [lo, hi). Bounds are 32-bit so a Range packs
 /// into one 64-bit word: Chase–Lev buffer slots stay single lock-free
 /// atomics, which keeps concurrent steal/overwrite tear-free (and TSan
-/// clean). ThreadPool routes loops with n > UINT32_MAX — which nothing in
-/// the pipeline comes near — to the fixed-chunk path instead.
+/// clean). ThreadPool runs loops with n > UINT32_MAX — which nothing in the
+/// pipeline comes near — as consecutive scheduler loops.
 struct Range {
   uint32_t lo = 0;
   uint32_t hi = 0;
@@ -124,7 +124,7 @@ struct SchedulerStats {
 };
 
 /// The per-ThreadPool work-stealing engine. Owned by ThreadPool; callers go
-/// through ThreadPool::ParallelFor, which routes here by default.
+/// through ThreadPool::ParallelFor.
 class Scheduler {
  public:
   /// `pool` provides Submit() for helper tasks; `pool_name` (may be empty)
@@ -137,7 +137,7 @@ class Scheduler {
 
   /// Runs fn(i) for every i in [0, n), work-stealing across the pool, and
   /// blocks until all iterations completed. The caller participates.
-  /// Requires n <= UINT32_MAX (enforced by ThreadPool's routing).
+  /// Requires n <= UINT32_MAX (ThreadPool::ParallelFor splits longer loops).
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   /// Binds the calling thread as pool worker `worker_index` so nested

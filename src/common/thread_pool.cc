@@ -76,15 +76,7 @@ void ThreadPool::RunTimed(const std::function<void()>& task,
                           WorkerSlot* slot) {
   active_participants_.fetch_add(1, std::memory_order_relaxed);
   // Busy-ns accounting costs two clock reads per task; tasks here are
-  // chunky ParallelFor drains, so that is noise. Only worker tasks are
-  // credited — caller threads draining the queue count tasks only.
-  if (slot == nullptr) {
-    TRACE_SPAN("thread_pool.task");
-    task();
-    caller_tasks_.fetch_add(1, std::memory_order_relaxed);
-    active_participants_.fetch_sub(1, std::memory_order_relaxed);
-    return;
-  }
+  // chunky ParallelFor drains, so that is noise.
   TRACE_SPAN("thread_pool.task");
   const auto t0 = std::chrono::steady_clock::now();
   task();
@@ -127,104 +119,23 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
   }
 }
 
-bool ThreadPool::RunOneQueuedTask() {
-  std::function<void()> task;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (queue_.empty()) {
-      // Nothing to steal right now; nap until a task arrives or our loop's
-      // last straggler finishes (the finisher notifies queue_cv_).
-      queue_cv_.wait_for(lock, std::chrono::milliseconds(1));
-      return false;
-    }
-    task = std::move(queue_.front());
-    queue_.pop_front();
-    ++in_flight_;
-  }
-  RunTimed(task, nullptr);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    --in_flight_;
-    if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();
-  }
-  return true;
-}
-
-size_t ThreadPool::ChunkSize(size_t n, size_t num_threads) {
-  // ~4 chunks per worker balances load without flooding the queue.
-  const size_t chunks = std::max<size_t>(1, num_threads * 4);
-  return std::max<size_t>(1, (n + chunks - 1) / chunks);
-}
-
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  ParallelFor(n, fn, ParallelForOptions{});
-}
-
-ParallelForStrategy ThreadPool::DefaultStrategy() {
-  static const ParallelForStrategy strategy = [] {
-    if (const char* env = std::getenv("CORADD_SCHED")) {
-      if (std::string(env) == "fixed") return ParallelForStrategy::kFixedChunk;
-    }
-    return ParallelForStrategy::kWorkStealing;
-  }();
-  return strategy;
-}
-
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn,
-                             const ParallelForOptions& options) {
   if (n == 0) return;
   TRACE_SPAN("thread_pool.parallel_for",
              {{"n", static_cast<int64_t>(n)}});
-  ParallelForStrategy strategy = options.strategy;
-  if (strategy == ParallelForStrategy::kDefault) strategy = DefaultStrategy();
-  // The scheduler packs ranges into 32-bit bounds; loops beyond 4G
-  // iterations (nothing in the pipeline comes near) take the legacy path.
-  if (strategy == ParallelForStrategy::kFixedChunk ||
-      n > static_cast<size_t>(UINT32_MAX)) {
-    ParallelForFixedChunk(n, fn);
-    return;
-  }
   active_participants_.fetch_add(1, std::memory_order_relaxed);
-  scheduler_->ParallelFor(n, fn);
-  active_participants_.fetch_sub(1, std::memory_order_relaxed);
-}
-
-void ThreadPool::ParallelForFixedChunk(size_t n,
-                                       const std::function<void(size_t)>& fn) {
-  const size_t chunk = ChunkSize(n, num_threads());
-
-  // Claim/progress state outlives this frame via shared_ptr: a helper task
-  // that is popped after the loop completed only touches the (exhausted)
-  // cursor and returns without dereferencing `fn`.
-  struct ForState {
-    std::atomic<size_t> cursor{0};
-    std::atomic<size_t> done{0};
-  };
-  auto state = std::make_shared<ForState>();
-  const std::function<void(size_t)>* fn_ptr = &fn;
-
-  auto drain = [this, state, chunk, n, fn_ptr] {
-    for (;;) {
-      const size_t begin = state->cursor.fetch_add(chunk);
-      if (begin >= n) return;
-      const size_t end = std::min(n, begin + chunk);
-      for (size_t i = begin; i < end; ++i) (*fn_ptr)(i);
-      if (state->done.fetch_add(end - begin) + (end - begin) == n) {
-        // Last chunk: wake any caller napping in RunOneQueuedTask.
-        queue_cv_.notify_all();
-      }
+  // The scheduler packs ranges into 32-bit bounds; a longer loop (nothing
+  // in the pipeline comes near) runs as consecutive scheduler loops.
+  constexpr size_t kMaxLoop = UINT32_MAX;
+  for (size_t base = 0; base < n; base += kMaxLoop) {
+    const size_t len = std::min(kMaxLoop, n - base);
+    if (base == 0) {
+      scheduler_->ParallelFor(len, fn);
+    } else {
+      scheduler_->ParallelFor(len, [&](size_t i) { fn(base + i); });
     }
-  };
-
-  const size_t num_helpers = std::min(num_threads(), (n + chunk - 1) / chunk);
-  for (size_t t = 0; t < num_helpers; ++t) Submit(drain);
-
-  // The caller claims chunks itself, then keeps the pool moving (other
-  // loops' helper tasks included) until every one of its iterations is done.
-  active_participants_.fetch_add(1, std::memory_order_relaxed);
-  drain();
+  }
   active_participants_.fetch_sub(1, std::memory_order_relaxed);
-  while (state->done.load() < n) RunOneQueuedTask();
 }
 
 std::vector<ThreadPool::WorkerStats> ThreadPool::worker_stats() const {

@@ -3,27 +3,23 @@
 // executor partitions large scans, and the design evaluator fans whole
 // (design, query) evaluations out over it.
 //
-// ParallelFor routes through the work-stealing scheduler (common/scheduler.h)
-// by default: each participant starts on one contiguous range and lazily
-// splits the unstarted half into a Chase–Lev deque only while idle workers
-// exist, so uniform loads pay near-zero scheduling overhead and skewed
-// loads rebalance at iteration granularity instead of chunk granularity.
-// The pre-scheduler fixed-chunk path (static ~4×threads chunks claimed off
-// an atomic cursor) is kept behind ParallelForStrategy::kFixedChunk — and
-// CORADD_SCHED=fixed for whole-pipeline A/B — as the comparison baseline.
+// ParallelFor runs on the work-stealing scheduler (common/scheduler.h): each
+// participant starts on one contiguous range and lazily splits the
+// unstarted half into a Chase–Lev deque only while idle workers exist, so
+// uniform loads pay near-zero scheduling overhead and skewed loads
+// rebalance at iteration granularity.
 //
-// ParallelFor is nest-safe under both strategies: the calling thread
-// participates in its own loop, and while blocked on stragglers it steals
-// the loop's stealable subtasks and then parks on a condition variable
-// (work-stealing path) or keeps draining the pool's task queue (fixed-chunk
-// path). A worker that starts a nested ParallelFor therefore still makes
-// progress even when every other worker is blocked in one — the deadlock
-// that sinks naive fixed-size pools under nesting.
+// ParallelFor is nest-safe: the calling thread participates in its own
+// loop, and while blocked on stragglers it steals the loop's stealable
+// subtasks and then parks on a condition variable. A worker that starts a
+// nested ParallelFor therefore still makes progress even when every other
+// worker is blocked in one — the deadlock that sinks naive fixed-size pools
+// under nesting.
 //
 // Determinism contract: ParallelFor(n, fn) runs fn(i) exactly once per index
 // with writes confined to per-index state; callers merge results in index
-// order. Nothing about chunk or range scheduling leaks into results, so any
-// pool size and either strategy yields bit-identical output.
+// order. Nothing about range scheduling leaks into results, so any pool
+// size yields bit-identical output.
 //
 // Observability: a pool constructed with a name (the shared pool is
 // "shared") registers per-worker tasks-executed / busy-ns counters, the
@@ -54,18 +50,6 @@ class Counter;
 class Gauge;
 }  // namespace obs
 
-/// Which engine a ParallelFor call runs on.
-enum class ParallelForStrategy {
-  kDefault,       ///< the pool default (CORADD_SCHED env, else work-stealing)
-  kWorkStealing,  ///< lazy-binary-splitting work stealing (common/scheduler.h)
-  kFixedChunk,    ///< legacy static ~4×threads chunks off an atomic cursor
-};
-
-/// Per-call ParallelFor knobs (the ExecOptions-style A/B surface).
-struct ParallelForOptions {
-  ParallelForStrategy strategy = ParallelForStrategy::kDefault;
-};
-
 /// Fixed set of worker threads consuming a FIFO task queue.
 class ThreadPool {
  public:
@@ -95,18 +79,6 @@ class ThreadPool {
   /// Writers must target disjoint state per index.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
-  /// As above with an explicit strategy override (benchmark A/B surface).
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn,
-                   const ParallelForOptions& options);
-
-  /// The process default strategy: CORADD_SCHED=fixed selects the legacy
-  /// fixed-chunk path, anything else (including unset) work stealing.
-  static ParallelForStrategy DefaultStrategy();
-
-  /// Picks a chunk size that gives each worker several chunks to steal
-  /// (fixed-chunk strategy only).
-  static size_t ChunkSize(size_t n, size_t num_threads);
-
   /// Pool-local work-stealing activity (steals/splits/local pops/parks/
   /// re-summons), outside the determinism surface.
   sched::SchedulerStats scheduler_stats() const {
@@ -129,17 +101,12 @@ class ThreadPool {
   size_t queue_depth_high_water() const {
     return queue_hwm_.load(std::memory_order_relaxed);
   }
-  /// Tasks executed by non-worker threads draining the queue while they
-  /// wait inside ParallelFor (the nest-safety path).
-  uint64_t caller_tasks_executed() const {
-    return caller_tasks_.load(std::memory_order_relaxed);
-  }
 
   /// Threads a ParallelFor can recruit: every worker plus the calling
   /// thread, which always participates in its own loop.
   size_t participant_capacity() const { return workers_.size() + 1; }
-  /// Threads currently executing pool work (worker tasks, caller drains,
-  /// and inline ParallelFor participation). An approximate saturation
+  /// Threads currently executing pool work (worker tasks and inline
+  /// ParallelFor participation). An approximate saturation
   /// signal for admission control — a thread inside a nested ParallelFor
   /// counts once per nesting level — not the scheduler's per-loop
   /// participant count, which stays internal to common/scheduler.cc.
@@ -159,16 +126,7 @@ class ThreadPool {
 
   void WorkerLoop(size_t worker_index);
 
-  /// Legacy fixed-chunk ParallelFor (kept as the A/B baseline): static
-  /// ~4×threads chunks claimed off an atomic cursor, caller busy-helping
-  /// the queue while it waits.
-  void ParallelForFixedChunk(size_t n, const std::function<void(size_t)>& fn);
-
-  /// Pops and runs one queued task; returns false (after waiting at most
-  /// ~1 ms) when the queue was empty. Fixed-chunk wait path only.
-  bool RunOneQueuedTask();
-
-  /// Times and runs `task`, crediting `slot` (null for caller threads).
+  /// Times and runs one worker task, crediting `slot`.
   void RunTimed(const std::function<void()>& task, WorkerSlot* slot);
 
   std::string name_;
@@ -182,7 +140,6 @@ class ThreadPool {
   size_t in_flight_ = 0;              ///< Tasks popped but not yet finished.
   bool stop_ = false;
   std::atomic<size_t> queue_hwm_{0};
-  std::atomic<uint64_t> caller_tasks_{0};
   std::atomic<size_t> active_participants_{0};
   obs::Gauge* registry_queue_depth_ = nullptr;  ///< named pools only
 };

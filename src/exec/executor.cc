@@ -3,33 +3,101 @@
 #include <algorithm>
 
 #include "common/string_util.h"
+#include "exec/scan_kernels.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace coradd {
 
-using exec::PartialAgg;
-using exec::ResolvedQuery;
-
 namespace {
 
-/// Runs `run_part(p)` for every partition, across `pool` when it pays, and
-/// merges partials into `out` in partition order — identical scheduling-
-/// independent result at any thread count.
-void MergePartitions(size_t num_parts, ThreadPool* pool,
-                     const std::function<void(size_t)>& run_part,
-                     std::vector<PartialAgg>* partials, QueryRunResult* out) {
-  static obs::Counter& partitions =
-      *obs::MetricsRegistry::Global().GetCounter("exec.partitions");
-  partitions.Add(num_parts);
-  if (num_parts > 1 && pool->num_threads() > 1) {
-    pool->ParallelFor(num_parts, run_part);
-  } else {
-    for (size_t p = 0; p < num_parts; ++p) run_part(p);
+// The two billing models behind QueryExecutor::ChargeIo. Both charge
+// `disk` and set out->fragments (plus pool_hits when pooled); ChargeIo
+// reads seconds, pages and seeks back off the disk.
+
+/// Cold billing: index descents, seeks and every page run in full.
+void ChargeCold(const ScanPlan& plan, const MaterializedObject& obj,
+                DiskModel* disk, QueryRunResult* out) {
+  switch (plan.kind) {
+    case ScanPlan::Kind::kFullScan:
+      disk->Seek();
+      disk->SequentialRead(obj.table->NumPages());
+      out->fragments = 1;
+      break;
+    case ScanPlan::Kind::kClustered:
+    case ScanPlan::Kind::kCm:
+      for (const auto& run : plan.io_runs) {
+        for (uint32_t h = 0; h < plan.seeks_per_run; ++h) disk->Seek();
+        disk->SequentialRead(run.NumPages());
+      }
+      out->fragments = plan.io_runs.size();
+      break;
+    case ScanPlan::Kind::kBTree:
+      for (uint32_t h = 0; h < plan.index_height; ++h) disk->Seek();
+      disk->SequentialRead(plan.index_leaf_pages);
+      for (const auto& run : plan.io_runs) {
+        disk->Seek();
+        disk->SequentialRead(run.NumPages());
+      }
+      out->fragments = plan.io_runs.size();
+      break;
   }
-  for (const PartialAgg& pa : *partials) {
-    out->rows_output += pa.rows;
-    for (double s : pa.acc) out->aggregate += s;
+}
+
+/// Touches pages [first, last] of pool object `object_id` for reading;
+/// every maximal run of non-resident pages costs one seek + sequential
+/// read on `disk` and counts as one fragment.
+void TouchRunPooled(SharedBufferPool* pool, uint32_t object_id, uint64_t first,
+                    uint64_t last, DiskModel* disk, QueryRunResult* out) {
+  uint64_t miss_run = 0;
+  const auto charge = [&] {
+    disk->Seek();
+    disk->SequentialRead(miss_run);
+    ++out->fragments;
+    miss_run = 0;
+  };
+  for (uint64_t p = first; p <= last; ++p) {
+    if (pool->Read(PageKey{object_id, p})) {
+      ++out->pool_hits;
+      if (miss_run > 0) charge();
+    } else {
+      ++miss_run;
+    }
+  }
+  if (miss_run > 0) charge();
+}
+
+/// Pooled billing: touches every plan page through `pool`; only misses
+/// cost I/O.
+void ChargePooled(const ScanPlan& plan, const MaterializedObject& obj,
+                  SharedBufferPool* pool, DiskModel* disk,
+                  QueryRunResult* out) {
+  const uint32_t id = obj.pool_object_id;
+  CORADD_CHECK(id != 0);
+  switch (plan.kind) {
+    case ScanPlan::Kind::kFullScan: {
+      const uint64_t pages = obj.table->NumPages();
+      if (pages > 0) TouchRunPooled(pool, id, 0, pages - 1, disk, out);
+      break;
+    }
+    case ScanPlan::Kind::kClustered:
+    case ScanPlan::Kind::kCm: {
+      for (const auto& run : plan.io_runs) {
+        TouchRunPooled(pool, id, run.first_page, run.last_page, disk, out);
+      }
+      break;
+    }
+    case ScanPlan::Kind::kBTree: {
+      if (plan.index_leaf_pages > 0) {
+        TouchRunPooled(pool, id | kIndexPageObjectFlag, plan.index_leaf_first,
+                       plan.index_leaf_first + plan.index_leaf_pages - 1, disk,
+                       out);
+      }
+      for (const auto& run : plan.io_runs) {
+        TouchRunPooled(pool, id, run.first_page, run.last_page, disk, out);
+      }
+      break;
+    }
   }
 }
 
@@ -42,50 +110,6 @@ QueryExecutor::QueryExecutor(const StatsRegistry* registry,
   CORADD_CHECK(planner != nullptr);
   CORADD_CHECK(options_.batch_rows > 0);
   CORADD_CHECK(options_.partition_rows > 0);
-}
-
-void QueryExecutor::AggregateRows(const ResolvedQuery& rq,
-                                  const MaterializedObject& obj,
-                                  RowRange range, QueryRunResult* out) const {
-  if (range.Empty()) return;
-  const uint64_t pr = options_.partition_rows;
-  const size_t num_parts =
-      static_cast<size_t>((range.Size() + pr - 1) / pr);
-  std::vector<PartialAgg> partials(num_parts);
-  ThreadPool* pool = options_.pool != nullptr ? options_.pool
-                                              : &ThreadPool::Shared();
-  MergePartitions(
-      num_parts, pool,
-      [&](size_t p) {
-        const uint64_t begin = range.begin + p * pr;
-        const uint64_t end = std::min<uint64_t>(range.end, begin + pr);
-        exec::AggregateRangePartition(rq, obj,
-                                      RowRange{static_cast<RowId>(begin),
-                                               static_cast<RowId>(end)},
-                                      options_.batch_rows, &partials[p]);
-      },
-      &partials, out);
-}
-
-void QueryExecutor::AggregateRids(const ResolvedQuery& rq,
-                                  const MaterializedObject& obj,
-                                  const std::vector<RowId>& rids,
-                                  QueryRunResult* out) const {
-  if (rids.empty()) return;
-  const size_t pr = options_.partition_rows;
-  const size_t num_parts = (rids.size() + pr - 1) / pr;
-  std::vector<PartialAgg> partials(num_parts);
-  ThreadPool* pool = options_.pool != nullptr ? options_.pool
-                                              : &ThreadPool::Shared();
-  MergePartitions(
-      num_parts, pool,
-      [&](size_t p) {
-        const size_t begin = p * pr;
-        const size_t count = std::min(pr, rids.size() - begin);
-        exec::AggregateRidPartition(rq, obj, rids.data() + begin, count,
-                                    options_.batch_rows, &partials[p]);
-      },
-      &partials, out);
 }
 
 void QueryExecutor::BuildClusteredPlan(const Query& q,
@@ -378,105 +402,108 @@ ScanPlan QueryExecutor::SelectPlan(const Query& q,
   return plan;
 }
 
-void QueryExecutor::ChargePlanIo(const ScanPlan& plan,
-                                 const MaterializedObject& obj,
-                                 DiskModel* disk, QueryRunResult* out) {
-  switch (plan.kind) {
-    case ScanPlan::Kind::kFullScan: {
-      const uint64_t pages = obj.table->NumPages();
-      disk->Seek();
-      disk->SequentialRead(pages);
-      out->seeks += 1;
-      out->pages_read += pages;
-      out->fragments = 1;
-      break;
-    }
-    case ScanPlan::Kind::kClustered:
-    case ScanPlan::Kind::kCm: {
-      for (const auto& run : plan.io_runs) {
-        for (uint32_t h = 0; h < plan.seeks_per_run; ++h) disk->Seek();
-        disk->SequentialRead(run.NumPages());
-        out->pages_read += run.NumPages();
-        out->seeks += plan.seeks_per_run;
-      }
-      out->fragments = plan.io_runs.size();
-      break;
-    }
-    case ScanPlan::Kind::kBTree: {
-      for (uint32_t h = 0; h < plan.index_height; ++h) disk->Seek();
-      disk->SequentialRead(plan.index_leaf_pages);
-      out->seeks += plan.index_height;
-      out->pages_read += plan.index_leaf_pages;
-      for (const auto& run : plan.io_runs) {
-        disk->Seek();
-        disk->SequentialRead(run.NumPages());
-        out->pages_read += run.NumPages();
-        ++out->seeks;
-      }
-      out->fragments = plan.io_runs.size();
-      break;
-    }
-  }
-}
-
-namespace {
-
-/// Touches pages [first, last] of pool object `object_id` for reading;
-/// every maximal run of non-resident pages costs one seek + sequential
-/// read on `disk` and counts as one fragment.
-void TouchRunPooled(SharedBufferPool* pool, uint32_t object_id, uint64_t first,
-                    uint64_t last, DiskModel* disk, QueryRunResult* out) {
-  uint64_t miss_run = 0;
-  const auto charge = [&] {
-    disk->Seek();
-    disk->SequentialRead(miss_run);
-    out->pages_read += miss_run;
-    ++out->seeks;
-    ++out->fragments;
-    miss_run = 0;
-  };
-  for (uint64_t p = first; p <= last; ++p) {
-    if (pool->Read(PageKey{object_id, p})) {
-      ++out->pool_hits;
-      if (miss_run > 0) charge();
-    } else {
-      ++miss_run;
-    }
-  }
-  if (miss_run > 0) charge();
-}
-
-}  // namespace
-
-void QueryExecutor::ChargePlanIoPooled(const ScanPlan& plan,
+QueryRunResult QueryExecutor::ChargeIo(const ScanPlan& plan,
                                        const MaterializedObject& obj,
-                                       SharedBufferPool* pool, DiskModel* disk,
-                                       QueryRunResult* out) {
-  const uint32_t id = obj.pool_object_id;
-  CORADD_CHECK(id != 0);
-  switch (plan.kind) {
-    case ScanPlan::Kind::kFullScan: {
-      const uint64_t pages = obj.table->NumPages();
-      if (pages > 0) TouchRunPooled(pool, id, 0, pages - 1, disk, out);
-      break;
+                                       DiskModel* disk) const {
+  CORADD_CHECK(disk != nullptr);
+  QueryRunResult out;
+  out.path = plan.path;
+  const double t0 = disk->elapsed_seconds();
+  const uint64_t p0 = disk->pages_read();
+  const uint64_t s0 = disk->seeks();
+  if (options_.page_pool != nullptr) {
+    ChargePooled(plan, obj, options_.page_pool, disk, &out);
+  } else {
+    ChargeCold(plan, obj, disk, &out);
+  }
+  out.seconds = disk->elapsed_seconds() - t0;
+  out.pages_read = disk->pages_read() - p0;
+  out.seeks = disk->seeks() - s0;
+  return out;
+}
+
+void QueryExecutor::AggregatePlan(const MaterializedObject& obj,
+                                  const ScanPlan& plan,
+                                  const std::vector<const Query*>& queries,
+                                  QueryRunResult* results) const {
+  const size_t num_members = queries.size();
+  CORADD_CHECK(num_members > 0);
+  TRACE_SPAN("exec.pass", {{"members", static_cast<int64_t>(num_members)}});
+
+  // Members resolve into one shared column list, so one ColumnBatch (one
+  // provenance gather for unstored columns) feeds every member.
+  std::vector<ResolvedColumn> cols;
+  std::vector<exec::ResolvedQuery> rqs;
+  rqs.reserve(num_members);
+  for (const Query* q : queries) {
+    rqs.push_back(exec::ResolveQuery(*q, obj, &cols));
+  }
+
+  // One flat task list, range-major: fixed partition_rows slices of each
+  // range from its begin, or of the rid list for kBTree. Task bounds are
+  // row ids for ranges and rid-list offsets for kBTree.
+  const bool gather = !plan.range_based();
+  const uint64_t pr = options_.partition_rows;
+  std::vector<std::pair<uint64_t, uint64_t>> tasks;
+  const auto slice = [&](uint64_t begin, uint64_t end) {
+    for (uint64_t b = begin; b < end; b += pr) {
+      tasks.emplace_back(b, std::min(end, b + pr));
     }
-    case ScanPlan::Kind::kClustered:
-    case ScanPlan::Kind::kCm: {
-      for (const auto& run : plan.io_runs) {
-        TouchRunPooled(pool, id, run.first_page, run.last_page, disk, out);
-      }
-      break;
+  };
+  if (gather) {
+    slice(0, plan.rids.size());
+  } else {
+    for (const RowRange& r : plan.ranges) slice(r.begin, r.end);
+  }
+  const size_t num_tasks = tasks.size();
+  static obs::Counter& partitions =
+      *obs::MetricsRegistry::Global().GetCounter("exec.partitions");
+  partitions.Add(num_tasks);
+
+  // partials[m * num_tasks + t]: member m's partial for task t. Tasks write
+  // disjoint slots; the merge below walks them in (member, task) order.
+  std::vector<exec::PartialAgg> partials(num_members * num_tasks);
+  const size_t batch_rows = options_.batch_rows;
+  const auto run_task = [&](size_t t) {
+    const auto [begin, end] = tasks[t];
+    TRACE_SPAN("exec.partition",
+               {{"rows", static_cast<int64_t>(end - begin)}});
+    for (size_t m = 0; m < num_members; ++m) {
+      partials[m * num_tasks + t].acc.assign(rqs[m].aggs.size(), 0.0);
     }
-    case ScanPlan::Kind::kBTree: {
-      if (plan.index_leaf_pages > 0) {
-        TouchRunPooled(pool, id | kIndexPageObjectFlag, plan.index_leaf_first,
-                       plan.index_leaf_first + plan.index_leaf_pages - 1, disk,
-                       out);
+    BatchScratch scratch;
+    std::vector<uint32_t> sel(std::min<uint64_t>(batch_rows, end - begin));
+    ColumnBatch batch;
+    for (uint64_t b = begin; b < end; b += batch_rows) {
+      const uint64_t e = std::min<uint64_t>(end, b + batch_rows);
+      const size_t n = static_cast<size_t>(e - b);
+      if (gather) {
+        GatherBatch(obj, plan.rids.data() + b, n, cols, &scratch, &batch);
+      } else {
+        ScanBatch(obj, RowRange{static_cast<RowId>(b), static_cast<RowId>(e)},
+                  cols, &scratch, &batch);
       }
-      for (const auto& run : plan.io_runs) {
-        TouchRunPooled(pool, id, run.first_page, run.last_page, disk, out);
+      for (size_t m = 0; m < num_members; ++m) {
+        const size_t k = exec::FilterBatch(rqs[m], batch, n, sel.data());
+        if (k == 0) continue;
+        exec::AccumulateBatch(batch, rqs[m], sel.data(), k,
+                              &partials[m * num_tasks + t]);
       }
-      break;
+    }
+  };
+  ThreadPool* pool =
+      options_.pool != nullptr ? options_.pool : &ThreadPool::Shared();
+  if (num_tasks > 1 && pool->num_threads() > 1) {
+    pool->ParallelFor(num_tasks, run_task);
+  } else {
+    for (size_t t = 0; t < num_tasks; ++t) run_task(t);
+  }
+
+  for (size_t m = 0; m < num_members; ++m) {
+    for (size_t t = 0; t < num_tasks; ++t) {
+      const exec::PartialAgg& pa = partials[m * num_tasks + t];
+      results[m].rows_output += pa.rows;
+      for (double s : pa.acc) results[m].aggregate += s;
     }
   }
 }
@@ -485,26 +512,8 @@ QueryRunResult QueryExecutor::RunPlan(const Query& q,
                                       const MaterializedObject& obj,
                                       const ScanPlan& plan,
                                       DiskModel* disk) const {
-  CORADD_CHECK(disk != nullptr);
-  QueryRunResult out;
-  out.path = plan.path;
-  const double t0 = disk->elapsed_seconds();
-  const uint64_t p0 = disk->pages_read();
-  const uint64_t s0 = disk->seeks();
-  if (options_.page_pool != nullptr) {
-    ChargePlanIoPooled(plan, obj, options_.page_pool, disk, &out);
-  } else {
-    ChargePlanIo(plan, obj, disk, &out);
-  }
-  const ResolvedQuery rq = exec::ResolveQuery(q, obj);
-  if (plan.range_based()) {
-    for (const auto& r : plan.ranges) AggregateRows(rq, obj, r, &out);
-  } else {
-    AggregateRids(rq, obj, plan.rids, &out);
-  }
-  out.seconds = disk->elapsed_seconds() - t0;
-  out.pages_read = disk->pages_read() - p0;
-  out.seeks = disk->seeks() - s0;
+  QueryRunResult out = ChargeIo(plan, obj, disk);
+  AggregatePlan(obj, plan, {&q}, &out);
   return out;
 }
 

@@ -7,17 +7,19 @@
 // cross-design correctness check (every design must return identical
 // answers for the same query).
 //
-// Execution is batched and parallel: scans resolve their columns once, read
-// ColumnBatches (contiguous column vectors, zero-copy for stored columns),
-// filter them with short-circuiting selection vectors, and partition large
-// row ranges across a ThreadPool with per-partition partial aggregates
-// merged in fixed partition order — so every thread count and every batch
-// size produces bit-identical results (see docs/EXECUTION.md).
+// Execution is one kernel, AggregatePlan: a plan's rows (its ranges, or its
+// rid list for a secondary B+Tree) are cut into one flat list of fixed-width
+// tasks run across a ThreadPool; each task reads its ColumnBatches once
+// (zero-copy for stored columns) and feeds every member query's filter and
+// accumulators; partials merge in (member, task) order — so every thread
+// count and every batch size produces bit-identical results (see
+// docs/EXECUTION.md).
 //
-// Plan selection and plan execution are exposed separately (SelectPlan /
-// RunPlan) so the serving layer can group admitted queries whose plans scan
-// the same row ranges of the same object into one cooperative shared-scan
-// pass (see docs/SERVING.md); Run() composes the two.
+// Plan selection, I/O billing and aggregation are exposed separately
+// (SelectPlan / ChargeIo / AggregatePlan) so the serving layer can run a
+// group of admitted queries whose plans scan the same row ranges of the same
+// object as one multi-member pass (see docs/SERVING.md); RunPlan is ChargeIo
+// plus a one-member AggregatePlan, and Run() prefixes SelectPlan.
 #pragma once
 
 #include <memory>
@@ -25,7 +27,6 @@
 #include "common/thread_pool.h"
 #include "cost/cost_model.h"
 #include "exec/materialize.h"
-#include "exec/scan_kernels.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_model.h"
 #include "storage/layout.h"
@@ -52,14 +53,15 @@ struct ExecOptions {
   /// yields bit-identical results (per-aggregate accumulators run in row
   /// order across batch boundaries).
   size_t batch_rows = 4096;
-  /// Fixed partition width for parallel scans: a row range is cut into
-  /// ceil(size / partition_rows) partitions regardless of thread count, and
-  /// partials merge in partition order — the determinism contract. Changing
-  /// this value regroups floating-point sums (still within 1e-9 relative).
+  /// Fixed task width for parallel scans: each plan range (or the rid list)
+  /// is cut into ceil(size / partition_rows) tasks regardless of thread
+  /// count, and partials merge in task order — the determinism contract.
+  /// Changing this value regroups floating-point sums (still within 1e-9
+  /// relative).
   size_t partition_rows = 16384;
-  /// Pool for scan partitions; nullptr = ThreadPool::Shared().
+  /// Pool for plan-pass tasks; nullptr = ThreadPool::Shared().
   ThreadPool* pool = nullptr;
-  /// Optional shared page pool. When set, RunPlan bills page touches
+  /// Optional shared page pool. When set, ChargeIo bills page touches
   /// through it — resident pages cost nothing, each maximal run of missing
   /// pages costs one seek + sequential read on the query's DiskModel, and
   /// dirty write-backs are charged to the pool's own attached disk. The
@@ -72,8 +74,7 @@ struct ExecOptions {
 /// to aggregate (in execution order — the determinism surface) and the
 /// coalesced page runs to charge against the DiskModel. Two queries whose
 /// plans agree on (object, ranges) aggregate over identical batches, which
-/// is exactly the condition the serving layer's shared-scan grouping keys
-/// on.
+/// is exactly the condition the serving layer's grouping keys on.
 struct ScanPlan {
   enum class Kind { kFullScan, kClustered, kCm, kBTree };
   Kind kind = Kind::kFullScan;
@@ -93,8 +94,8 @@ struct ScanPlan {
   /// kBTree only: first leaf page of the touched span, so pooled accounting
   /// touches concrete index pages (keyed under kIndexPageObjectFlag).
   uint64_t index_leaf_first = 0;
-  /// Range-based plans aggregate `ranges` and are shareable; kBTree plans
-  /// gather an explicit rid list and always execute solo.
+  /// Range-based plans aggregate `ranges` and are groupable; kBTree plans
+  /// gather an explicit rid list, which the serving layer never groups.
   bool range_based() const { return kind != Kind::kBTree; }
 };
 
@@ -132,29 +133,36 @@ class QueryExecutor {
   ScanPlan SelectPlan(const Query& q, const MaterializedObject& obj,
                       const DiskParams& params) const;
 
-  /// Executes a previously selected plan: charges its I/O to `disk` and
-  /// aggregates its ranges (or rid list) in order. Run(q, obj, disk) ==
+  /// Executes a previously selected plan: ChargeIo, then a one-member
+  /// AggregatePlan. Run(q, obj, disk) ==
   /// RunPlan(q, obj, SelectPlan(q, obj, disk->params()), disk) bit-for-bit.
   QueryRunResult RunPlan(const Query& q, const MaterializedObject& obj,
                          const ScanPlan& plan, DiskModel* disk) const;
 
-  /// Charges only the plan's I/O (index descents, seeks, page runs) to
-  /// `disk`, accumulating pages_read/seeks/fragments into `out`. The
-  /// shared-scan pass uses this to bill each group member its solo I/O cost
-  /// while the data itself is read once.
-  static void ChargePlanIo(const ScanPlan& plan, const MaterializedObject& obj,
-                           DiskModel* disk, QueryRunResult* out);
+  /// Bills `plan`'s I/O to `disk` and returns a result holding the plan's
+  /// path and the bill (seconds, pages, seeks, fragments, pool hits).
+  /// Cold: index descents, seeks and page runs are charged in full. Pooled
+  /// (page_pool set): every plan page — heap runs, and index leaves for
+  /// kBTree — is touched through the pool, and only missing pages are
+  /// charged, one seek + sequential read per maximal missed run; descent
+  /// seeks fold into the per-run seek, so a fully warm plan costs zero
+  /// seconds. Pooled billing requires obj.pool_object_id != 0.
+  QueryRunResult ChargeIo(const ScanPlan& plan, const MaterializedObject& obj,
+                          DiskModel* disk) const;
 
-  /// Pooled variant: touches every plan page (heap runs; index leaves for
-  /// kBTree) through `pool`, charging only the missing pages to `disk` —
-  /// one seek + sequential read per maximal missed run, hits free. A fully
-  /// warm plan therefore costs zero simulated seconds. Descent seeks are
-  /// folded into the per-run seek (a warm cache also keeps internal nodes
-  /// resident). Requires obj.pool_object_id != 0.
-  static void ChargePlanIoPooled(const ScanPlan& plan,
-                                 const MaterializedObject& obj,
-                                 SharedBufferPool* pool, DiskModel* disk,
-                                 QueryRunResult* out);
+  /// The plan-execution kernel: one pass over `plan`'s rows on `obj` for
+  /// the member queries `queries` (1..N; every member must be answerable
+  /// from those rows). The rows are cut into one flat, range-major task list
+  /// of partition_rows slices — of plan.ranges, or of plan.rids for kBTree —
+  /// run by one ParallelFor; each batch is read once with the union of the
+  /// members' columns and fed to every member's filter and accumulators.
+  /// Adds member m's aggregate and row count into results[m] (I/O fields
+  /// untouched), merging partials in (member, task) order, so each member's
+  /// answer is bit-identical to its one-member pass at any thread count and
+  /// batch size.
+  void AggregatePlan(const MaterializedObject& obj, const ScanPlan& plan,
+                     const std::vector<const Query*>& queries,
+                     QueryRunResult* results) const;
 
  private:
   void BuildClusteredPlan(const Query& q, const MaterializedObject& obj,
@@ -165,18 +173,6 @@ class QueryExecutor {
   void BuildBTreePlan(const Query& q, const MaterializedObject& obj,
                       size_t btree_idx, const DiskParams& params,
                       ScanPlan* plan) const;
-
-  /// Filters rows of [range] in fixed partitions (parallel when large) and
-  /// accumulates the aggregate deterministically.
-  void AggregateRows(const exec::ResolvedQuery& rq,
-                     const MaterializedObject& obj, RowRange range,
-                     QueryRunResult* out) const;
-
-  /// Same over an explicit row-id list (secondary B+Tree fetches).
-  void AggregateRids(const exec::ResolvedQuery& rq,
-                     const MaterializedObject& obj,
-                     const std::vector<RowId>& rids,
-                     QueryRunResult* out) const;
 
   const StatsRegistry* registry_;
   const CostModel* planner_;

@@ -13,6 +13,7 @@
 #include "cm/cm_designer.h"
 #include "cost/mv_spec.h"
 #include "storage/clustered_table.h"
+#include "storage/column_batch.h"
 #include "storage/secondary_index.h"
 
 namespace coradd {

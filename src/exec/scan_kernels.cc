@@ -2,10 +2,11 @@
 
 #include <algorithm>
 
-#include "obs/trace.h"
-
 namespace coradd::exec {
 
+namespace {
+
+/// Interns `name` into `cols`, returning its index (existing or appended).
 size_t InternColumn(const MaterializedObject& obj, const std::string& name,
                     std::vector<ResolvedColumn>* cols) {
   const ResolvedColumn rc = ResolveColumn(obj, name);
@@ -16,32 +17,8 @@ size_t InternColumn(const MaterializedObject& obj, const std::string& name,
   return cols->size() - 1;
 }
 
-ResolvedQuery ResolveQuery(const Query& q, const MaterializedObject& obj) {
-  ResolvedQuery rq;
-  for (const auto& p : q.predicates) {
-    rq.preds.push_back(&p);
-    rq.pred_col.push_back(InternColumn(obj, p.column, &rq.cols));
-  }
-  for (const auto& a : q.aggregates) {
-    ResolvedQuery::Agg agg;
-    agg.col_a = static_cast<int>(InternColumn(obj, a.col_a, &rq.cols));
-    if (!a.col_b.empty()) {
-      agg.col_b = static_cast<int>(InternColumn(obj, a.col_b, &rq.cols));
-    }
-    rq.aggs.push_back(agg);
-  }
-  rq.all_stored = true;
-  for (const ResolvedColumn& c : rq.cols) {
-    if (c.table_col < 0) {
-      rq.all_stored = false;
-      rq.stored_cols.clear();
-      break;
-    }
-    rq.stored_cols.push_back(c.table_col);
-  }
-  return rq;
-}
-
+/// Fills `sel` with the batch-local indexes of rows matching `p`; the
+/// predicate type is dispatched once per batch, not once per row.
 size_t FilterFirst(const int64_t* col, size_t n, const Predicate& p,
                    uint32_t* sel) {
   size_t k = 0;
@@ -73,6 +50,8 @@ size_t FilterFirst(const int64_t* col, size_t n, const Predicate& p,
   return k;
 }
 
+/// Compacts `sel` in place to the survivors of `p` — the short circuit:
+/// each further predicate only touches rows still selected.
 size_t FilterNext(const int64_t* col, const Predicate& p, uint32_t* sel,
                   size_t k) {
   size_t out = 0;
@@ -105,6 +84,26 @@ size_t FilterNext(const int64_t* col, const Predicate& p, uint32_t* sel,
   return out;
 }
 
+}  // namespace
+
+ResolvedQuery ResolveQuery(const Query& q, const MaterializedObject& obj,
+                           std::vector<ResolvedColumn>* cols) {
+  ResolvedQuery rq;
+  for (const auto& p : q.predicates) {
+    rq.preds.push_back(&p);
+    rq.pred_col.push_back(InternColumn(obj, p.column, cols));
+  }
+  for (const auto& a : q.aggregates) {
+    ResolvedQuery::Agg agg;
+    agg.col_a = static_cast<int>(InternColumn(obj, a.col_a, cols));
+    if (!a.col_b.empty()) {
+      agg.col_b = static_cast<int>(InternColumn(obj, a.col_b, cols));
+    }
+    rq.aggs.push_back(agg);
+  }
+  return rq;
+}
+
 size_t FilterBatch(const ResolvedQuery& rq, const ColumnBatch& batch,
                    size_t n, uint32_t* sel) {
   if (rq.preds.empty()) return n;
@@ -116,8 +115,8 @@ size_t FilterBatch(const ResolvedQuery& rq, const ColumnBatch& batch,
 }
 
 void AccumulateBatch(const ColumnBatch& batch, const ResolvedQuery& rq,
-                     const uint32_t* sel, size_t k, bool all_rows,
-                     PartialAgg* pa) {
+                     const uint32_t* sel, size_t k, PartialAgg* pa) {
+  const bool all_rows = rq.preds.empty();
   pa->rows += k;
   for (size_t j = 0; j < rq.aggs.size(); ++j) {
     const int64_t* a = batch.cols[static_cast<size_t>(rq.aggs[j].col_a)];
@@ -141,51 +140,6 @@ void AccumulateBatch(const ColumnBatch& batch, const ResolvedQuery& rq,
       }
     }
     pa->acc[j] = s;
-  }
-}
-
-void AggregateRangePartition(const ResolvedQuery& rq,
-                             const MaterializedObject& obj, RowRange part,
-                             size_t batch_rows, PartialAgg* pa) {
-  TRACE_SPAN("exec.partition",
-             {{"rows", static_cast<int64_t>(part.Size())}});
-  pa->acc.assign(rq.aggs.size(), 0.0);
-  BatchScratch scratch;
-  std::vector<uint32_t> sel(
-      std::min<uint64_t>(batch_rows, part.Size()));
-  ColumnBatch batch;
-  for (uint64_t b = part.begin; b < part.end; b += batch_rows) {
-    const RowId begin = static_cast<RowId>(b);
-    const RowId end =
-        static_cast<RowId>(std::min<uint64_t>(part.end, b + batch_rows));
-    if (rq.all_stored) {
-      obj.table->ScanBatch(RowRange{begin, end}, rq.stored_cols, &batch);
-    } else {
-      ScanBatch(obj, RowRange{begin, end}, rq.cols, &scratch, &batch);
-    }
-    const size_t n = end - begin;
-    const bool all_rows = rq.preds.empty();
-    const size_t k = FilterBatch(rq, batch, n, sel.data());
-    if (k == 0) continue;
-    AccumulateBatch(batch, rq, sel.data(), k, all_rows, pa);
-  }
-}
-
-void AggregateRidPartition(const ResolvedQuery& rq,
-                           const MaterializedObject& obj, const RowId* rids,
-                           size_t count, size_t batch_rows, PartialAgg* pa) {
-  TRACE_SPAN("exec.partition", {{"rows", static_cast<int64_t>(count)}});
-  pa->acc.assign(rq.aggs.size(), 0.0);
-  BatchScratch scratch;
-  std::vector<uint32_t> sel(std::min(batch_rows, count));
-  ColumnBatch batch;
-  for (size_t b = 0; b < count; b += batch_rows) {
-    const size_t n = std::min(batch_rows, count - b);
-    GatherBatch(obj, rids + b, n, rq.cols, &scratch, &batch);
-    const bool all_rows = rq.preds.empty();
-    const size_t k = FilterBatch(rq, batch, n, sel.data());
-    if (k == 0) continue;
-    AccumulateBatch(batch, rq, sel.data(), k, all_rows, pa);
   }
 }
 

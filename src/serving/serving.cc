@@ -9,7 +9,6 @@
 #include "exec/materialize.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serving/shared_scan.h"
 
 namespace coradd::serving {
 
@@ -32,8 +31,8 @@ std::string ObjectSignature(const DesignedObject& obj) {
 }
 
 /// Scan-sharing key: queries whose plans aggregate identical row ranges of
-/// the same slot read identical batches, so their shared-pass results are
-/// bit-identical to solo runs (the grouping precondition).
+/// the same slot read identical batches, so one multi-member pass gives each
+/// the bit-identical result of its solo run (the grouping precondition).
 std::string GroupKey(size_t slot, const ScanPlan& plan) {
   std::string key;
   key.reserve(16 + plan.ranges.size() * 16);
@@ -151,8 +150,6 @@ ServingEngine::ServingEngine(const DesignContext* context,
     bp.name = "serving";
     page_pool_ = std::make_unique<SharedBufferPool>(bp, pool_disk_.get());
     executor_.SetPagePool(page_pool_.get());
-    // Shared passes receive options_.exec directly — keep it in sync.
-    options_.exec.page_pool = page_pool_.get();
   }
 }
 
@@ -331,7 +328,7 @@ void ServingEngine::ExecuteEpoch(std::vector<std::unique_ptr<Ticket>> tickets) {
   }
 
   // --- Group by (slot, ranges) in admission order. Non-range plans and
-  // batching-off mode stay solo.
+  // batching-off mode make one-ticket units.
   struct Unit {
     size_t slot = 0;
     std::vector<size_t> members;  ///< ticket indexes, admission order
@@ -382,17 +379,6 @@ void ServingEngine::ExecuteEpoch(std::vector<std::unique_ptr<Ticket>> tickets) {
   const auto run_unit = [&](size_t u) {
     const Unit& unit = units[u];
     const MaterializedObject& obj = *slots_[unit.slot];
-    if (unit.members.size() == 1) {
-      const size_t i = unit.members[0];
-      Ticket* t = tickets[i].get();
-      const Query& q = workload_->queries[t->query_index];
-      DiskModel disk(disk_params_);  // cold per query (§7)
-      const QueryRunResult r = executor_.RunPlan(q, obj, plans[i], &disk);
-      solo_executed_.fetch_add(1, std::memory_order_relaxed);
-      ServingMetrics::Get().solo->Add(1);
-      deliver(t, r, false);
-      return;
-    }
     // Lookalike dedup: members with the same query index are the same
     // computation — execute the first occurrence (admission order) and fan
     // its bit-identical result out to the duplicates.
@@ -406,23 +392,40 @@ void ServingEngine::ExecuteEpoch(std::vector<std::unique_ptr<Ticket>> tickets) {
       if (inserted) reps.push_back(i);
       rep_of[m] = it->second;
     }
-    std::vector<SharedMember> members(reps.size());
+    // I/O billing, each on a fresh DiskModel (cold per query, §7). Pooled:
+    // the unit touches each page once through the pool via member 0's plan
+    // (identical ranges mean identical heap pages) and every member reports
+    // that group bill. Cold: each member's plan is charged in full.
+    std::vector<QueryRunResult> results(reps.size());
+    std::vector<const Query*> queries(reps.size());
     for (size_t m = 0; m < reps.size(); ++m) {
-      members[m].query = &workload_->queries[tickets[reps[m]]->query_index];
-      members[m].plan = &plans[reps[m]];
+      queries[m] = &workload_->queries[tickets[reps[m]]->query_index];
+      if (m == 0 || page_pool_ == nullptr) {
+        DiskModel disk(disk_params_);
+        results[m] = executor_.ChargeIo(plans[reps[m]], obj, &disk);
+      } else {
+        results[m] = results[0];
+        results[m].path = plans[reps[m]].path;
+      }
     }
-    RunSharedScan(obj, disk_params_, options_.exec, &members);
-    const uint64_t hits = unit.members.size() - reps.size();
-    if (hits > 0) {
-      lookalike_hits_.fetch_add(hits, std::memory_order_relaxed);
-      ServingMetrics::Get().lookalike_hits->Add(hits);
+    executor_.AggregatePlan(obj, plans[reps[0]], queries, results.data());
+
+    const bool shared = unit.members.size() >= 2;
+    if (shared) {
+      const uint64_t hits = unit.members.size() - reps.size();
+      if (hits > 0) {
+        lookalike_hits_.fetch_add(hits, std::memory_order_relaxed);
+        ServingMetrics::Get().lookalike_hits->Add(hits);
+      }
+      shared_executed_.fetch_add(unit.members.size(),
+                                 std::memory_order_relaxed);
+      ServingMetrics::Get().shared->Add(unit.members.size());
+    } else {
+      solo_executed_.fetch_add(1, std::memory_order_relaxed);
+      ServingMetrics::Get().solo->Add(1);
     }
-    shared_executed_.fetch_add(unit.members.size(),
-                               std::memory_order_relaxed);
-    ServingMetrics::Get().shared->Add(unit.members.size());
     for (size_t m = 0; m < unit.members.size(); ++m) {
-      deliver(tickets[unit.members[m]].get(), members[rep_of[m]].result,
-              true);
+      deliver(tickets[unit.members[m]].get(), results[rep_of[m]], shared);
     }
   };
   if (!options_.deterministic && units.size() > 1 &&

@@ -1,14 +1,14 @@
 // Long-running concurrent query-serving engine over an installed design
-// (ROADMAP item 1, docs/SERVING.md). Client sessions Submit() workload
-// queries concurrently; a single dispatcher thread drains the admission
-// queue in epochs, groups admitted queries whose selected plans scan the
-// same row ranges of the same materialized object into one cooperative
-// shared-scan pass (serving/shared_scan.h), runs singletons solo over the
-// normal QueryExecutor plan path, and interleaves MV-maintenance insert
+// (docs/SERVING.md). Client sessions Submit() workload queries concurrently;
+// a single dispatcher thread drains the admission queue in epochs, groups
+// admitted queries whose selected plans scan the same row ranges of the same
+// materialized object into one unit, runs every unit — one member or many —
+// through the executor's single plan-pass kernel
+// (QueryExecutor::AggregatePlan), and interleaves MV-maintenance insert
 // batches (exec/maintenance.h) as exclusive writer epochs between read
-// epochs. Within a group, tickets for the SAME workload query collapse to
-// one unit of work (lookalike dedup): the first occurrence is executed and
-// every duplicate receives the bit-identical result — on skewed
+// epochs. Within a unit, tickets for the SAME workload query collapse to one
+// member (lookalike dedup): the first occurrence is executed and every
+// duplicate receives the bit-identical result — on skewed
 // ("lookalike-heavy") streams this, plus the shared gather of provenance
 // columns, is where the batching throughput win comes from.
 //
@@ -21,11 +21,14 @@
 //
 // Determinism contract: per-query aggregates and row counts are
 // bit-identical to solo QueryExecutor runs at ANY thread count and under
-// any epoch slicing, because the shared pass replicates the solo
-// decomposition exactly; simulated per-query seconds are charged to a cold
-// per-query DiskModel exactly as the evaluator does (§7). The
-// `deterministic` option additionally executes epoch units sequentially in
-// formation order so traces and counters are reproducible too.
+// any epoch slicing, because a multi-member pass merges each member's
+// partials exactly as its one-member pass would. Simulated per-query
+// seconds are billed to a fresh per-query DiskModel: with pooling off every
+// member pays its own plan cold, exactly as the evaluator does (§7); with
+// pooling on a unit touches its pages once through the pool and every
+// member reports that shared bill. The `deterministic` option additionally
+// executes epoch units sequentially in formation order so traces and
+// counters are reproducible too.
 #pragma once
 
 #include <atomic>
@@ -81,11 +84,13 @@ struct TicketResult {
   std::string query_id;
   double aggregate = 0.0;
   uint64_t rows_output = 0;
-  /// Simulated cold-cache runtime (identical to a solo run).
+  /// Simulated runtime. Pooling off: the cold-cache cost, identical to a
+  /// solo run. Pooling on: the pool misses of the ticket's unit, shared by
+  /// every member of a group.
   double simulated_seconds = 0.0;
   uint64_t pages_read = 0;
   AccessPath path = AccessPath::kFullScan;
-  /// True when served by a shared-scan group of >= 2 members.
+  /// True when served by a group of >= 2 members.
   bool shared = false;
   /// Pages served from the engine's shared pool (0 when pooling is off).
   uint64_t pool_hits = 0;
@@ -98,9 +103,9 @@ struct TicketResult {
 struct ServingStats {
   uint64_t admitted = 0;
   uint64_t completed = 0;
-  uint64_t shared_executed = 0;  ///< tickets served via a shared pass
-  uint64_t solo_executed = 0;    ///< tickets served solo
-  uint64_t groups = 0;           ///< shared passes run (>= 2 members each)
+  uint64_t shared_executed = 0;  ///< tickets served in a group
+  uint64_t solo_executed = 0;    ///< tickets served alone
+  uint64_t groups = 0;           ///< groups run (>= 2 members each)
   /// Tickets answered from a group-mate's identical computation: a group
   /// member whose query index duplicates an earlier member's is not
   /// re-executed — it receives the representative's (bit-identical) result.

@@ -16,7 +16,7 @@
 //    giant single-touch scan churns the probation window instead of
 //    flushing the hot set), and dirty write-back on evict/flush charged to
 //    an attached DiskModel. Misses are NOT charged here — the caller bills
-//    its own DiskModel for the read (exec::ChargePlanIoPooled), which keeps
+//    its own DiskModel for the read (QueryExecutor::ChargeIo), which keeps
 //    per-query simulated seconds per-query even though the page state is
 //    shared. An exact-LRU policy is available so a single-shard pool can be
 //    replayed bit-for-bit against the serial reference model.

@@ -32,18 +32,6 @@ ClusteredTable::ClusteredTable(std::unique_ptr<Table> table,
   btree_.leaf_pages = 0;  // heap pages are charged via layout_.
 }
 
-void ClusteredTable::ScanBatch(RowRange range,
-                               const std::vector<int>& table_cols,
-                               ColumnBatch* out) const {
-  CORADD_CHECK(range.end <= table_->NumRows());
-  out->begin = range.begin;
-  out->num_rows = static_cast<uint32_t>(range.Size());
-  out->cols.resize(table_cols.size());
-  for (size_t i = 0; i < table_cols.size(); ++i) {
-    out->cols[i] = ColumnSlice(table_cols[i], range.begin);
-  }
-}
-
 int ClusteredTable::CompareKeyPrefix(RowId r,
                                      const std::vector<int64_t>& vals) const {
   for (size_t i = 0; i < vals.size(); ++i) {

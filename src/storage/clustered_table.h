@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "catalog/table.h"
-#include "storage/column_batch.h"
 #include "storage/layout.h"
 
 namespace coradd {
@@ -59,18 +58,11 @@ class ClusteredTable {
 
   /// Contiguous values of stored column `table_col` starting at row
   /// `begin` — the one place the heap's zero-copy pointer arithmetic
-  /// lives. Every batch producer (ScanBatch here, the provenance-aware
-  /// one in exec/materialize) slices through this.
+  /// lives (the heap is column-major in memory). The executor's batch
+  /// producers (exec/materialize) slice stored columns through this.
   const int64_t* ColumnSlice(int table_col, RowId begin) const {
     return table_->ColumnData(static_cast<size_t>(table_col)).data() + begin;
   }
-
-  /// Columnar batch accessor: exposes rows [range) of the stored columns
-  /// `table_cols` as contiguous per-column pointers, zero-copy (the heap is
-  /// column-major in memory). The executor's batched scan path reads these
-  /// instead of calling Value() per row per predicate.
-  void ScanBatch(RowRange range, const std::vector<int>& table_cols,
-                 ColumnBatch* out) const;
 
   /// Rows whose first `prefix.size()` key columns equal `prefix`.
   RowRange EqualRange(const std::vector<int64_t>& prefix) const;

@@ -377,6 +377,115 @@ TEST_F(ExecTest, SharedPoolMatchesExplicitSingleThread) {
   }
 }
 
+// ---------- The plan-pass kernel, driven directly ----------
+
+// QueryExecutor::AggregatePlan with N members must give every member the
+// answer of its own one-member RunPlan over the same plan, bit for bit: the
+// members here read different column sets (one needs a provenance gather
+// of a column the MV does not store, one has no predicate at all) over a
+// many-range CM plan, and a one-member B+Tree rid-list plan rides along.
+// Billing mode must not matter either, so every combination runs cold and
+// pooled.
+TEST_F(ExecTest, PlanPassMembersMatchOneMemberRunPlan) {
+  Materializer mat(universe_, Disk());
+  MvSpec spec = BaseSpec();
+  spec.is_base = false;
+  spec.name = "re_od";
+  spec.clustered_key = {"lo_orderdate"};
+  CmSpec cm;
+  cm.key_columns = {"d_yearmonthnum"};  // not stored: built via provenance
+  auto obj = mat.Materialize(spec, {cm}, {"lo_orderkey"});
+  obj->pool_object_id = 1;
+
+  const auto make_query = [](std::string id, std::vector<Predicate> preds,
+                             Aggregate agg) {
+    Query q;
+    q.id = std::move(id);
+    q.fact_table = "lineorder";
+    q.predicates = std::move(preds);
+    q.aggregates = {std::move(agg)};
+    return q;
+  };
+  // Five scattered months: one CM range per month (a sixth tips the
+  // planner to a full scan).
+  const Query gathered = make_query(
+      "months",
+      {Predicate::In("d_yearmonthnum",
+                     {ssb::YearMonthNum(1992, 1), ssb::YearMonthNum(1993, 4),
+                      ssb::YearMonthNum(1994, 7), ssb::YearMonthNum(1995, 10),
+                      ssb::YearMonthNum(1996, 1)})},
+      {"lo_revenue", ""});
+  const Query stored = make_query(
+      "stored",
+      {Predicate::Range("lo_discount", 1, 3),
+       Predicate::Range("lo_quantity", 10, 30)},
+      {"lo_extendedprice", "lo_discount"});
+  const Query all_rows = make_query("all_rows", {}, {"lo_quantity", ""});
+  const Query point =
+      make_query("point", {Predicate::Eq("lo_orderkey", 101)},
+                 {"lo_revenue", ""});
+
+  const QueryExecutor planner(registry_, model_);
+  const ScanPlan cm_plan = planner.SelectPlan(gathered, *obj, Disk());
+  ASSERT_EQ(cm_plan.kind, ScanPlan::Kind::kCm);
+  ASSERT_GE(cm_plan.ranges.size(), 5u);
+  const ScanPlan bt_plan = planner.SelectPlan(point, *obj, Disk());
+  ASSERT_EQ(bt_plan.kind, ScanPlan::Kind::kBTree);
+  // On their own plans, the gathered and point queries also match the
+  // brute-force reference.
+  for (const Query* q : {&gathered, &point}) {
+    DiskModel disk(Disk());
+    const QueryRunResult run = planner.Run(*q, *obj, &disk);
+    const auto [ref_agg, ref_rows] = Reference(*q);
+    EXPECT_EQ(run.rows_output, ref_rows) << q->id;
+    EXPECT_NEAR(run.aggregate, ref_agg, std::abs(ref_agg) * 1e-9 + 1e-6)
+        << q->id;
+  }
+
+  struct Pass {
+    const ScanPlan* plan;
+    std::vector<const Query*> members;
+  };
+  const std::vector<Pass> passes = {
+      {&cm_plan, {&gathered, &stored, &all_rows}}, {&bt_plan, {&point}}};
+  std::vector<QueryRunResult> first;  // per (pass, member), first config
+  for (const bool pooled : {false, true}) {
+    DiskModel pool_disk(Disk());
+    BufferPoolOptions bp;
+    bp.capacity_pages = 256;
+    SharedBufferPool page_pool(bp, &pool_disk);
+    for (size_t threads : {1u, 2u, 8u}) {
+      ThreadPool pool(threads);
+      for (size_t batch : {1u, 64u, 4096u}) {
+        ExecOptions eo;
+        eo.batch_rows = batch;
+        eo.partition_rows = 1024;
+        eo.pool = &pool;
+        eo.page_pool = pooled ? &page_pool : nullptr;
+        const QueryExecutor exec(registry_, model_, eo);
+        size_t i = 0;
+        for (const Pass& p : passes) {
+          std::vector<QueryRunResult> got(p.members.size());
+          exec.AggregatePlan(*obj, *p.plan, p.members, got.data());
+          for (size_t m = 0; m < p.members.size(); ++m, ++i) {
+            const Query& q = *p.members[m];
+            DiskModel disk(Disk());
+            const QueryRunResult solo = exec.RunPlan(q, *obj, *p.plan, &disk);
+            EXPECT_EQ(got[m].aggregate, solo.aggregate)
+                << q.id << " pooled=" << pooled << " threads=" << threads
+                << " batch=" << batch;
+            EXPECT_EQ(got[m].rows_output, solo.rows_output) << q.id;
+            if (first.size() == i) first.push_back(solo);
+            EXPECT_EQ(solo.aggregate, first[i].aggregate) << q.id;
+            EXPECT_EQ(solo.rows_output, first[i].rows_output) << q.id;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(first[2].rows_output, first[0].rows_output);  // all_rows
+}
+
 // ---------- Golden snapshot across commits ----------
 
 // The determinism suite above compares runs within one build; this pins the

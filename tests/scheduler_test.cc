@@ -1,6 +1,6 @@
 // Tests for the work-stealing scheduler behind ThreadPool::ParallelFor
-// (common/scheduler.h): the determinism contract across thread counts and
-// strategies, nest-safety when a stolen range starts its own ParallelFor,
+// (common/scheduler.h): the determinism contract across thread counts,
+// nest-safety when a stolen range starts its own ParallelFor,
 // load rebalancing under planted 1000:1 skew (steals must actually happen,
 // and no worker may sit idle behind the fat iterations), Chase–Lev deque
 // semantics, and an 8-thread submit/steal stress that the TSan CI leg runs
@@ -26,13 +26,6 @@ namespace {
 using sched::ChaseLevDeque;
 using sched::Range;
 
-ParallelForOptions Steal() {
-  return ParallelForOptions{ParallelForStrategy::kWorkStealing};
-}
-ParallelForOptions Fixed() {
-  return ParallelForOptions{ParallelForStrategy::kFixedChunk};
-}
-
 // A per-index value with enough floating-point structure that any
 // reordering, double-execution, or dropped index changes bits somewhere.
 double IndexValue(size_t i) {
@@ -52,7 +45,7 @@ TEST(SchedulerDeterminismTest, ReductionBitIdentity10k) {
   for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     ThreadPool pool(threads);
     std::vector<double> out(kN, 0.0);
-    pool.ParallelFor(kN, [&](size_t i) { out[i] = IndexValue(i); }, Steal());
+    pool.ParallelFor(kN, [&](size_t i) { out[i] = IndexValue(i); });
     // Exact bit equality per index, and the index-order merge is therefore
     // bit-identical too.
     EXPECT_EQ(out, reference) << "threads=" << threads;
@@ -62,24 +55,13 @@ TEST(SchedulerDeterminismTest, ReductionBitIdentity10k) {
   }
 }
 
-TEST(SchedulerDeterminismTest, StrategiesAgreeBitIdentically) {
-  constexpr size_t kN = 4096;
-  ThreadPool pool(8);
-  std::vector<double> steal_out(kN), fixed_out(kN);
-  pool.ParallelFor(kN, [&](size_t i) { steal_out[i] = IndexValue(i); },
-                   Steal());
-  pool.ParallelFor(kN, [&](size_t i) { fixed_out[i] = IndexValue(i); },
-                   Fixed());
-  EXPECT_EQ(steal_out, fixed_out);
-}
-
 TEST(SchedulerDeterminismTest, EveryIndexRunsExactlyOnce) {
   constexpr size_t kN = 50000;
   ThreadPool pool(8);
   std::vector<std::atomic<int>> hits(kN);
   pool.ParallelFor(kN, [&](size_t i) {
     hits[i].fetch_add(1, std::memory_order_relaxed);
-  }, Steal());
+  });
   for (size_t i = 0; i < kN; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
@@ -88,19 +70,19 @@ TEST(SchedulerDeterminismTest, EveryIndexRunsExactlyOnce) {
 TEST(SchedulerDeterminismTest, DegenerateSizes) {
   ThreadPool pool(4);
   int zero_runs = 0;
-  pool.ParallelFor(0, [&](size_t) { ++zero_runs; }, Steal());
+  pool.ParallelFor(0, [&](size_t) { ++zero_runs; });
   EXPECT_EQ(zero_runs, 0);
 
   std::atomic<int> one_runs{0};
   pool.ParallelFor(1, [&](size_t i) {
     EXPECT_EQ(i, 0u);
     one_runs.fetch_add(1);
-  }, Steal());
+  });
   EXPECT_EQ(one_runs.load(), 1);
 
   // Fewer iterations than workers: every index still runs exactly once.
   std::vector<std::atomic<int>> hits(3);
-  pool.ParallelFor(3, [&](size_t i) { hits[i].fetch_add(1); }, Steal());
+  pool.ParallelFor(3, [&](size_t i) { hits[i].fetch_add(1); });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -118,8 +100,8 @@ TEST(SchedulerNestingTest, NestedParallelForInsideStolenRanges) {
                                                                      : 50));
     pool.ParallelFor(kInner, [&](size_t i) {
       hits[o * kInner + i].fetch_add(1, std::memory_order_relaxed);
-    }, Steal());
-  }, Steal());
+    });
+  });
   for (size_t k = 0; k < hits.size(); ++k) {
     ASSERT_EQ(hits[k].load(), 1) << "cell " << k;
   }
@@ -141,11 +123,11 @@ TEST(SchedulerNestingTest, NestedReductionBitIdentity) {
       std::vector<double> inner(kInner);
       pool.ParallelFor(kInner, [&](size_t i) {
         inner[i] = IndexValue(o * kInner + i);
-      }, Steal());
+      });
       double s = 0.0;
       for (size_t i = 0; i < kInner; ++i) s += inner[i];
       out[o] = s;
-    }, Steal());
+    });
     EXPECT_EQ(out, reference) << "threads=" << threads;
   }
 }
@@ -179,7 +161,7 @@ TEST(SchedulerSkewTest, PlantedSkewRebalancesViaStealing) {
       std::this_thread::sleep_for(kCheap);
     }
     hits[i].fetch_add(1, std::memory_order_relaxed);
-  }, Steal());
+  });
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -291,16 +273,12 @@ TEST(SchedulerStressTest, SubmitAndParallelForMix8Threads) {
 
   std::vector<std::thread> external;
   for (int t = 0; t < kExternalThreads; ++t) {
-    external.emplace_back([&, t] {
+    external.emplace_back([&] {
       for (int l = 0; l < kLoopsPerThread; ++l) {
-        // Alternate strategies so steal-mode helpers and fixed-chunk
-        // drains (which pull steal helpers through RunOneQueuedTask)
-        // coexist in the same queue.
-        const auto opts = (l + t) % 3 == 0 ? Fixed() : Steal();
         pool.ParallelFor(kN, [&](size_t i) {
           iteration_count.fetch_add(1, std::memory_order_relaxed);
           if (i % 97 == 0) std::this_thread::yield();
-        }, opts);
+        });
         if (l % 5 == 0) {
           pool.Submit([&] {
             submitted_count.fetch_add(1, std::memory_order_relaxed);
@@ -327,8 +305,8 @@ TEST(SchedulerStressTest, NestedSkewedLoopsUnderContention) {
       if (o % 5 == 0) std::this_thread::sleep_for(std::chrono::microseconds(200));
       pool.ParallelFor(64, [&](size_t) {
         cells.fetch_add(1, std::memory_order_relaxed);
-      }, Steal());
-    }, Steal());
+      });
+    });
   }
   EXPECT_EQ(cells.load(), static_cast<uint64_t>(kRounds) * 16 * 64);
 }

@@ -252,18 +252,15 @@ TEST(ClusteredTableTest, EqualRangeMissingKeyEmpty) {
   EXPECT_TRUE(ct.EqualRange({42}).Empty());
 }
 
-TEST(ClusteredTableTest, ScanBatchIsZeroCopyWindow) {
+TEST(ClusteredTableTest, ColumnSliceIsZeroCopyWindow) {
   ClusteredTable ct(MakeKeyed(100), {0, 1});
-  ColumnBatch batch;
-  ct.ScanBatch(RowRange{25, 75}, {2, 0}, &batch);
-  EXPECT_EQ(batch.begin, 25u);
-  ASSERT_EQ(batch.NumRows(), 50u);
-  ASSERT_EQ(batch.cols.size(), 2u);
+  const int64_t* v = ct.ColumnSlice(2, 25);
+  const int64_t* k1 = ct.ColumnSlice(0, 25);
   // Pointers alias the heap's column storage directly.
-  EXPECT_EQ(batch.cols[0], ct.ColumnSlice(2, 25));
-  for (uint32_t i = 0; i < batch.NumRows(); ++i) {
-    EXPECT_EQ(batch.cols[0][i], ct.table().Value(25 + i, 2));
-    EXPECT_EQ(batch.cols[1][i], ct.table().Value(25 + i, 0));
+  EXPECT_EQ(v, ct.table().ColumnData(2).data() + 25);
+  for (RowId i = 0; i < 50; ++i) {
+    EXPECT_EQ(v[i], ct.table().Value(25 + i, 2));
+    EXPECT_EQ(k1[i], ct.table().Value(25 + i, 0));
   }
 }
 
