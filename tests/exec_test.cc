@@ -607,5 +607,55 @@ TEST(MaintenanceTest, AppendOnlyBaseIsCheapWithinPool) {
   EXPECT_LT(r.pool_misses, 10u);
 }
 
+// Pins the Figure 14 numbers across commits: every pool size against every
+// MV size (index = MV / 10 pages), 20,000 inserts beside an append-only
+// base, plus one incremental run split 7,000 + 13,000 + Flush. Folds the
+// bits of `seconds` and the three counters into one FNV-1a hash, so a
+// change to the maintenance pool that moves any counter or the last bit of
+// the simulated time changes the constant.
+// Captured 2026-10-17 from the serial maintenance pool, gcc 12 -O2.
+constexpr uint64_t kGoldenMaintenance = 0x0626578769a2ee89ull;
+
+TEST(MaintenanceGoldenTest, Fig14MatchesSnapshot) {
+  const MaintainedObject base{1000, 200, true};
+  uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](const MaintenanceResult& r) {
+    for (const uint64_t v : {std::bit_cast<uint64_t>(r.seconds),
+                             r.dirty_evictions, r.pool_misses,
+                             r.pages_written}) {
+      for (int b = 0; b < 8; ++b) {
+        h ^= (v >> (8 * b)) & 0xffu;
+        h *= 1099511628211ull;
+      }
+    }
+  };
+  MaintenanceResult one_shot_2000_16000;
+  for (const uint64_t pool_pages : {500ull, 2000ull, 3000ull}) {
+    for (const uint64_t mv_pages :
+         {0ull, 1000ull, 4000ull, 16000ull, 30000ull}) {
+      MaintenanceOptions options;
+      options.num_inserts = 20000;
+      options.buffer_pool_pages = pool_pages;
+      std::vector<MaintainedObject> objects = {base};
+      if (mv_pages > 0) objects.push_back({mv_pages, mv_pages / 10, false});
+      const MaintenanceResult r = SimulateInsertions(objects, options);
+      if (pool_pages == 2000 && mv_pages == 16000) one_shot_2000_16000 = r;
+      mix(r);
+    }
+  }
+  MaintenanceOptions options;
+  options.buffer_pool_pages = 2000;
+  InsertionSimulator sim({base, MaintainedObject{16000, 1600, false}},
+                         options);
+  sim.ApplyInserts(7000);
+  sim.ApplyInserts(13000);
+  sim.Flush();
+  const MaintenanceResult split = sim.Totals();
+  EXPECT_EQ(split.seconds, one_shot_2000_16000.seconds);
+  EXPECT_EQ(split.pages_written, one_shot_2000_16000.pages_written);
+  mix(split);
+  EXPECT_EQ(h, kGoldenMaintenance) << std::hex << "0x" << h;
+}
+
 }  // namespace
 }  // namespace coradd

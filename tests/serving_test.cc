@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <thread>
 #include <vector>
 
@@ -267,6 +268,72 @@ TEST_F(ServingTest, ServingSmokeMaintenanceMatchesIsolatedSimulation) {
   const ServingStats stats = engine.stats();
   EXPECT_EQ(stats.maintenance_batches, 2u);
   EXPECT_EQ(stats.maintenance_inserts, 10000u);
+}
+
+// Pins pooled serving across commits. Deterministic mode, an explicit
+// thread pool and epoch cap (so epoch composition does not follow the
+// host's core count), a fixed lookalike stream admitted in slices with
+// maintenance batches between them, all queued before Start. The base heap
+// takes random-position inserts with index pages, so writer epochs dirty
+// pages the scans later evict. Folds every ticket's simulated-seconds bits,
+// pool hits and pages read, plus the final pool counters, into one FNV-1a
+// hash.
+// Captured 2026-10-17 from the pool with a write-back disk, gcc 12 -O2.
+constexpr uint64_t kGoldenPooledServing = 0x80344252541a3c37ull;
+
+TEST_F(ServingTest, ServingSmokePooledGolden) {
+  const DatabaseDesign design = BaseOnlyDesign();
+  ThreadPool pool(2);
+  ServingOptions options;
+  options.deterministic = true;
+  options.pool_fraction = 1.0;
+  options.max_epoch_tickets = 8;
+  options.exec.pool = &pool;
+  ServingEngine engine(context_, &design, workload_, planner_, options);
+  ASSERT_NE(engine.page_pool(), nullptr);
+
+  std::vector<MaintainedObject> objects = engine.DerivedMaintainedObjects();
+  ASSERT_EQ(objects.size(), 1u);
+  objects[0].append_only = false;
+  objects[0].index_pages = 64;
+  MaintenanceOptions mopt;
+  mopt.buffer_pool_pages = 200;
+  engine.ConfigureMaintenance(objects, mopt);
+
+  const std::vector<size_t> stream =
+      MakeLookalikeStream(workload_->queries.size(), 48, /*seed=*/13);
+  std::vector<std::future<TicketResult>> futures;
+  for (size_t begin = 0; begin < stream.size(); begin += 12) {
+    const std::vector<size_t> slice(stream.begin() + begin,
+                                    stream.begin() + begin + 12);
+    for (auto& f : engine.SubmitBatch(slice)) futures.push_back(std::move(f));
+    engine.SubmitMaintenance(150);
+  }
+  engine.Start();
+  uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (auto& f : futures) {
+    const TicketResult r = f.get();
+    mix(std::bit_cast<uint64_t>(r.simulated_seconds));
+    mix(r.pool_hits);
+    mix(r.pages_read);
+  }
+  engine.Stop();
+
+  const BufferPoolStats s = engine.stats().pool;
+  EXPECT_GT(s.hits, 0u);
+  EXPECT_GT(s.evictions, 0u);
+  EXPECT_GT(s.dirty_writebacks, 0u);
+  for (const uint64_t v :
+       {s.touches, s.hits, s.misses, s.evictions, s.dirty_writebacks}) {
+    mix(v);
+  }
+  EXPECT_EQ(h, kGoldenPooledServing) << std::hex << "0x" << h;
 }
 
 // The pool accessors the engine sizes its epochs from: capacity counts
