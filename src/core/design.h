@@ -17,6 +17,13 @@ struct DesignedObject {
   std::vector<std::string> btree_columns;  ///< Commercial-style dense indexes.
 };
 
+/// Structural identity of a designed object: fact table, stored columns,
+/// clustered key, kind (base / re-clustering / MV), CMs with their
+/// bucketing, and B+Tree columns — not the name or query group. Objects
+/// with equal signatures materialize identically, so the evaluator and the
+/// serving engine build one materialization per signature.
+std::string ObjectSignature(const DesignedObject& obj);
+
 /// Output of any designer.
 struct DatabaseDesign {
   std::string designer;

@@ -10,8 +10,6 @@
 
 namespace coradd {
 
-namespace {
-
 std::string ObjectSignature(const DesignedObject& obj) {
   std::string s = obj.spec.fact_table + "|" + Join(obj.spec.columns, ",") +
                   "|" + Join(obj.spec.clustered_key, ",") + "|";
@@ -25,8 +23,6 @@ std::string ObjectSignature(const DesignedObject& obj) {
   for (const auto& b : obj.btree_columns) s += "|bt:" + b;
   return s;
 }
-
-}  // namespace
 
 DesignEvaluator::DesignEvaluator(const DesignContext* context,
                                  size_t cache_capacity,

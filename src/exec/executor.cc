@@ -57,7 +57,7 @@ void TouchRunPooled(SharedBufferPool* pool, uint32_t object_id, uint64_t first,
     miss_run = 0;
   };
   for (uint64_t p = first; p <= last; ++p) {
-    if (pool->Read(PageKey{object_id, p})) {
+    if (pool->Read(PageKey{object_id, p}).hit) {
       ++out->pool_hits;
       if (miss_run > 0) charge();
     } else {

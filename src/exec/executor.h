@@ -62,11 +62,12 @@ struct ExecOptions {
   /// Pool for plan-pass tasks; nullptr = ThreadPool::Shared().
   ThreadPool* pool = nullptr;
   /// Optional shared page pool. When set, ChargeIo bills page touches
-  /// through it — resident pages cost nothing, each maximal run of missing
-  /// pages costs one seek + sequential read on the query's DiskModel, and
-  /// dirty write-backs are charged to the pool's own attached disk. The
-  /// object must carry a nonzero `pool_object_id`. Default off: billing is
-  /// the cold per-query model, bit-identical to every existing golden.
+  /// through it — resident pages cost nothing and each maximal run of
+  /// missing pages costs one seek + sequential read on the query's
+  /// DiskModel. Dirty pages a touch writes back are counted in the pool's
+  /// stats and billed to no query. The object must carry a nonzero
+  /// `pool_object_id`. Default off: billing is the cold per-query model,
+  /// bit-identical to every existing golden.
   SharedBufferPool* page_pool = nullptr;
 };
 

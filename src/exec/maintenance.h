@@ -4,6 +4,12 @@
 // triggers dirty-page evictions and random writes, so maintenance cost
 // grows super-linearly with the total size of materialized objects.
 //
+// The simulator owns a single-shard exact-LRU SharedBufferPool (the same
+// pool class the serving engine uses) and bills its own DiskModel from what
+// each touch reports: a miss is a random page read (seek + one page), then
+// every dirty page the touch wrote back is a random page write; Flush bills
+// one page write per page FlushAll wrote.
+//
 // The stateful InsertionSimulator applies inserts in increments, so the
 // serving engine (src/serving/) can interleave maintenance batches with
 // reads while the buffer pool and RNG persist across batches. Applying the
@@ -64,11 +70,12 @@ class InsertionSimulator {
   void ApplyInserts(uint64_t count);
 
   /// Mirrors every dirtied PageKey into `pool` (nullptr to detach) without
-  /// touching the simulator's own pool, disk, or RNG — the isolated-cost
-  /// contract (SimulateInsertions == interleaved ApplyInserts + Flush,
-  /// ratio exactly 1.000) is preserved bit-for-bit. The serving engine uses
-  /// this so writer epochs invalidate/dirty the shared page pool the
-  /// concurrent scans read through.
+  /// touching the simulator's own pool, disk, or RNG, and bills nothing
+  /// for the mirror's touches — the isolated-cost contract
+  /// (SimulateInsertions == interleaved ApplyInserts + Flush, ratio exactly
+  /// 1.000) is preserved bit-for-bit. The serving engine uses this so
+  /// writer epochs invalidate/dirty the shared page pool the concurrent
+  /// scans read through.
   void SetMirrorPool(SharedBufferPool* pool) { mirror_ = pool; }
 
   /// Writes back every dirty page still resident (end-of-experiment cost).
@@ -81,12 +88,17 @@ class InsertionSimulator {
   uint64_t inserts_applied() const { return inserts_applied_; }
 
  private:
+  /// Dirties `key` in the simulator's pool (billing the miss, then the
+  /// write-backs) and in the mirror.
+  void WritePage(PageKey key);
+
   std::vector<MaintainedObject> objects_;
   DiskModel disk_;
-  BufferPool pool_;
+  SharedBufferPool pool_;
   Rng rng_;
   SharedBufferPool* mirror_ = nullptr;
   uint64_t inserts_applied_ = 0;
+  uint64_t dirty_evictions_ = 0;
 };
 
 /// Simulates `options.num_inserts` single-row inserts maintained across

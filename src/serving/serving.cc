@@ -5,7 +5,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "common/string_util.h"
 #include "exec/materialize.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -13,22 +12,6 @@
 namespace coradd::serving {
 
 namespace {
-
-/// Structural object identity, mirroring the evaluator's signature so two
-/// queries routed to structurally identical objects share one slot.
-std::string ObjectSignature(const DesignedObject& obj) {
-  std::string s = obj.spec.fact_table + "|" + Join(obj.spec.columns, ",") +
-                  "|" + Join(obj.spec.clustered_key, ",") + "|";
-  s += obj.spec.is_base ? "B" : (obj.spec.is_fact_recluster ? "R" : "M");
-  for (const auto& cm : obj.cms) {
-    s += "|cm:" + Join(cm.key_columns, ",") +
-         StrFormat("/w%lld/p%u",
-                   static_cast<long long>(cm.bucketing.key_bucket_width),
-                   cm.bucketing.clustered_bucket_pages);
-  }
-  for (const auto& b : obj.btree_columns) s += "|bt:" + b;
-  return s;
-}
 
 /// Scan-sharing key: queries whose plans aggregate identical row ranges of
 /// the same slot read identical batches, so one multi-member pass gives each
@@ -143,12 +126,10 @@ ServingEngine::ServingEngine(const DesignContext* context,
                                  static_cast<double>(WorkingSetPages())));
   }
   if (pool_pages > 0) {
-    pool_disk_ = std::make_unique<DiskModel>(disk_params_);
     BufferPoolOptions bp;
     bp.capacity_pages = pool_pages;
-    bp.num_shards = options_.pool_shards;
     bp.name = "serving";
-    page_pool_ = std::make_unique<SharedBufferPool>(bp, pool_disk_.get());
+    page_pool_ = std::make_unique<SharedBufferPool>(bp);
     executor_.SetPagePool(page_pool_.get());
   }
 }

@@ -64,18 +64,18 @@ struct ServingOptions {
   /// counters/traces; results are bit-identical either way).
   bool deterministic = false;
   /// Shared buffer pool capacity in pages; 0 = pooled serving off (cold
-  /// per-query billing, bit-identical to PR 9 behaviour). When on, the
-  /// engine owns a SharedBufferPool: reads bill only pool misses, shared
+  /// per-query billing). When on, the engine owns a SharedBufferPool
+  /// (kTwoQ, automatic shard count): reads bill only pool misses, shared
   /// passes touch each page once per group, and maintenance writer epochs
-  /// mirror their dirtied pages into it. Aggregates/row counts are
-  /// unaffected either way — pooling changes costs, never results.
+  /// mirror their dirtied pages into it. Dirty pages the pool writes back
+  /// are counted in ServingStats::pool and billed to no query.
+  /// Aggregates/row counts are unaffected either way — pooling changes
+  /// costs, never results.
   uint64_t pool_pages = 0;
   /// Alternative sizing when pool_pages == 0: capacity as a fraction of the
   /// workload's working set (distinct plan pages, WorkingSetPages()).
   /// 0 = off.
   double pool_fraction = 0.0;
-  /// Shards of the engine's pool; 0 = auto (see BufferPoolOptions).
-  size_t pool_shards = 0;
   ExecOptions exec;
 };
 
@@ -177,11 +177,6 @@ class ServingEngine {
   /// The engine's shared page pool; nullptr when pooling is off.
   SharedBufferPool* page_pool() { return page_pool_.get(); }
   const SharedBufferPool* page_pool() const { return page_pool_.get(); }
-  /// Disk the pool charges dirty write-backs to (pooling must be on).
-  const DiskModel& pool_disk() const {
-    CORADD_CHECK(pool_disk_ != nullptr);
-    return *pool_disk_;
-  }
 
   const MaterializedObject& ObjectForQuery(size_t query_index) const;
   const ServingOptions& options() const { return options_; }
@@ -223,11 +218,9 @@ class ServingEngine {
   std::vector<std::shared_ptr<MaterializedObject>> slots_;
   std::vector<size_t> slot_of_query_;
 
-  /// Shared page pool + the disk its dirty write-backs are charged to
-  /// (pool_pages/pool_fraction > 0 only). Created in the constructor body
-  /// after the slots exist (sizing needs the materialized working set),
-  /// then attached to executor_ via SetPagePool.
-  std::unique_ptr<DiskModel> pool_disk_;
+  /// Shared page pool (pool_pages/pool_fraction > 0 only). Created in the
+  /// constructor body after the slots exist (sizing needs the materialized
+  /// working set), then attached to executor_ via SetPagePool.
   std::unique_ptr<SharedBufferPool> page_pool_;
 
   std::mutex mu_;

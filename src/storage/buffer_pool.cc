@@ -2,88 +2,13 @@
 
 #include <algorithm>
 
+#include "common/status.h"
 #include "obs/metrics.h"
 
 namespace coradd {
 
-// ---------------------------------------------------------------------------
-// BufferPool (serial LRU reference model / maintenance pool)
-// ---------------------------------------------------------------------------
-
-BufferPool::BufferPool(uint64_t capacity_pages, DiskModel* disk)
-    : capacity_(capacity_pages), disk_(disk) {
-  CORADD_CHECK(capacity_pages > 0);
-  CORADD_CHECK(disk != nullptr);
-}
-
-bool BufferPool::Touch(PageKey key, bool dirty) {
-  auto it = map_.find(key);
-  if (it == map_.end()) return false;
-  it->second->dirty = it->second->dirty || dirty;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return true;
-}
-
-void BufferPool::EvictIfFull() {
-  while (map_.size() >= capacity_) {
-    Frame victim = lru_.back();
-    lru_.pop_back();
-    map_.erase(victim.key);
-    if (victim.dirty) {
-      ++dirty_evictions_;
-      disk_->WritePage();
-    }
-  }
-}
-
-void BufferPool::InsertFrame(PageKey key, bool dirty) {
-  EvictIfFull();
-  lru_.push_front(Frame{key, dirty});
-  map_[key] = lru_.begin();
-}
-
-bool BufferPool::Read(PageKey key) {
-  if (Touch(key, /*dirty=*/false)) {
-    ++hits_;
-    return true;
-  }
-  ++misses_;
-  disk_->Seek();
-  disk_->SequentialRead(1);
-  InsertFrame(key, /*dirty=*/false);
-  return false;
-}
-
-bool BufferPool::Write(PageKey key) {
-  if (Touch(key, /*dirty=*/true)) {
-    ++hits_;
-    return true;
-  }
-  ++misses_;
-  disk_->Seek();
-  disk_->SequentialRead(1);
-  InsertFrame(key, /*dirty=*/true);
-  return false;
-}
-
-void BufferPool::FlushAll() {
-  for (auto& frame : lru_) {
-    if (frame.dirty) {
-      frame.dirty = false;
-      disk_->WritePage();
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// SharedBufferPool
-// ---------------------------------------------------------------------------
-
-SharedBufferPool::SharedBufferPool(const BufferPoolOptions& options,
-                                   DiskModel* writeback_disk)
-    : capacity_(options.capacity_pages),
-      policy_(options.policy),
-      writeback_disk_(writeback_disk) {
+SharedBufferPool::SharedBufferPool(const BufferPoolOptions& options)
+    : capacity_(options.capacity_pages), policy_(options.policy) {
   CORADD_CHECK(capacity_ > 0);
   size_t n = options.num_shards != 0
                  ? options.num_shards
@@ -97,7 +22,6 @@ SharedBufferPool::SharedBufferPool(const BufferPoolOptions& options,
   obs_misses_ = reg.GetCounter("bufferpool.misses");
   obs_evictions_ = reg.GetCounter("bufferpool.evictions");
   obs_dirty_writebacks_ = reg.GetCounter("bufferpool.dirty_writebacks");
-  obs_pinned_ = reg.GetGauge("bufferpool." + options.name + ".pinned");
 
   const uint64_t base = capacity_ / n;
   const uint64_t rem = capacity_ % n;
@@ -115,23 +39,20 @@ SharedBufferPool::SharedBufferPool(const BufferPoolOptions& options,
   }
 }
 
-bool SharedBufferPool::Read(PageKey key) {
-  return Touch(key, /*dirty=*/false, /*pin=*/false);
+PageTouch SharedBufferPool::Read(PageKey key) {
+  return Touch(key, /*dirty=*/false);
 }
 
-bool SharedBufferPool::Write(PageKey key) {
-  return Touch(key, /*dirty=*/true, /*pin=*/false);
+PageTouch SharedBufferPool::Write(PageKey key) {
+  return Touch(key, /*dirty=*/true);
 }
 
-bool SharedBufferPool::Pin(PageKey key) {
-  return Touch(key, /*dirty=*/false, /*pin=*/true);
-}
-
-bool SharedBufferPool::Touch(PageKey key, bool dirty, bool pin) {
+PageTouch SharedBufferPool::Touch(PageKey key, bool dirty) {
   Shard& shard = *shards_[ShardOf(key)];
   std::lock_guard<std::mutex> lock(shard.mu);
   ++shard.counters.touches;
   obs_touches_->Add();
+  PageTouch out;
 
   auto it = shard.map.find(key);
   if (it != shard.map.end()) {
@@ -140,7 +61,6 @@ bool SharedBufferPool::Touch(PageKey key, bool dirty, bool pin) {
       f->dirty = true;
       ++shard.counters.resident_dirty;
     }
-    if (pin && f->pins++ == 0) NotePin(&shard);
     if (policy_ == EvictionPolicy::kTwoQ && f->probation) {
       // Second touch: promote out of probation into the protected segment.
       f->probation = false;
@@ -151,7 +71,8 @@ bool SharedBufferPool::Touch(PageKey key, bool dirty, bool pin) {
     ++shard.counters.hits;
     shard.obs_hits->Add();
     obs_hits_->Add();
-    return true;
+    out.hit = true;
+    return out;
   }
 
   ++shard.counters.misses;
@@ -159,138 +80,52 @@ bool SharedBufferPool::Touch(PageKey key, bool dirty, bool pin) {
   obs_misses_->Add();
   const bool probation = policy_ == EvictionPolicy::kTwoQ;
   FrameList& target = probation ? shard.probation : shard.main;
-  target.push_front(Frame{key, pin ? 1u : 0u, dirty, probation});
+  target.push_front(Frame{key, dirty, probation});
   shard.map[key] = target.begin();
   ++shard.counters.resident;
   if (dirty) ++shard.counters.resident_dirty;
-  if (pin) NotePin(&shard);
-  EvictIfNeeded(&shard);
-  return false;
-}
-
-void SharedBufferPool::Unpin(PageKey key) {
-  Shard& shard = *shards_[ShardOf(key)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
-  CORADD_CHECK(it != shard.map.end());
-  CORADD_CHECK(it->second->pins > 0);
-  if (--it->second->pins == 0) {
-    NoteUnpin(&shard);
-    // Pins can force the shard transiently over capacity; drain as soon as
-    // the last pin that caused it goes away.
-    EvictIfNeeded(&shard);
+  if (shard.counters.resident > shard.capacity) {
+    out.writebacks = EvictOne(&shard);
   }
+  return out;
 }
 
-SharedBufferPool::FrameList::iterator SharedBufferPool::FindVictim(
-    FrameList* list) {
-  for (auto it = list->rbegin(); it != list->rend(); ++it) {
-    if (it->pins == 0) return std::prev(it.base());
+uint64_t SharedBufferPool::EvictOne(Shard* shard) {
+  FrameList* list = &shard->main;
+  // kTwoQ: probation at (or above) target — a scan recycles its own window.
+  // Below target, the protected segment gives a page back.
+  if (policy_ == EvictionPolicy::kTwoQ &&
+      (shard->probation.size() >= shard->probation_target ||
+       shard->main.empty())) {
+    list = &shard->probation;
   }
-  return list->end();
-}
-
-void SharedBufferPool::EvictIfNeeded(Shard* shard) {
-  while (shard->counters.resident > shard->capacity) {
-    FrameList* first;
-    FrameList* second = nullptr;
-    if (policy_ == EvictionPolicy::kTwoQ) {
-      // Probation at (or above) target: a scan recycles its own window.
-      // Below target: let the protected segment give a page back.
-      if (shard->probation.size() >= shard->probation_target ||
-          shard->main.empty()) {
-        first = &shard->probation;
-        second = &shard->main;
-      } else {
-        first = &shard->main;
-        second = &shard->probation;
-      }
-    } else {
-      first = &shard->main;
-    }
-    FrameList::iterator victim = FindVictim(first);
-    FrameList* vlist = first;
-    if (victim == first->end() && second != nullptr) {
-      victim = FindVictim(second);
-      vlist = second;
-    }
-    // Every frame pinned: run transiently over capacity rather than evict
-    // a page a caller still holds.
-    if (victim == vlist->end()) break;
-    EvictFrame(shard, victim);
-  }
-}
-
-void SharedBufferPool::EvictFrame(Shard* shard, FrameList::iterator it) {
-  const bool dirty = it->dirty;
-  FrameList& list = it->probation ? shard->probation : shard->main;
-  shard->map.erase(it->key);
-  list.erase(it);
+  const Frame victim = list->back();
+  shard->map.erase(victim.key);
+  list->pop_back();
   --shard->counters.resident;
   ++shard->counters.evictions;
   shard->obs_evictions->Add();
   obs_evictions_->Add();
-  if (dirty) {
-    --shard->counters.resident_dirty;
-    ++shard->counters.dirty_writebacks;
-    obs_dirty_writebacks_->Add();
-    ChargeWriteback(shard);
-  }
+  if (!victim.dirty) return 0;
+  --shard->counters.resident_dirty;
+  ++shard->counters.dirty_writebacks;
+  obs_dirty_writebacks_->Add();
+  return 1;
 }
 
-void SharedBufferPool::ChargeWriteback(Shard* /*shard*/) {
-  if (writeback_disk_ == nullptr) return;
-  std::lock_guard<std::mutex> lock(disk_mu_);
-  writeback_disk_->WritePage();
-}
-
-void SharedBufferPool::NotePin(Shard* shard) {
-  ++shard->counters.pinned;
-  const int64_t now = pinned_.fetch_add(1, std::memory_order_relaxed) + 1;
-  int64_t cur = pin_hwm_.load(std::memory_order_relaxed);
-  while (now > cur && !pin_hwm_.compare_exchange_weak(
-                          cur, now, std::memory_order_relaxed)) {
-  }
-  obs_pinned_->Add(1);
-}
-
-void SharedBufferPool::NoteUnpin(Shard* shard) {
-  --shard->counters.pinned;
-  pinned_.fetch_sub(1, std::memory_order_relaxed);
-  obs_pinned_->Add(-1);
-}
-
-void SharedBufferPool::FlushAll() {
+uint64_t SharedBufferPool::FlushAll() {
+  uint64_t written = 0;
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     for (FrameList* list : {&shard->main, &shard->probation}) {
-      for (Frame& frame : *list) {
-        if (!frame.dirty) continue;
-        frame.dirty = false;
-        --shard->counters.resident_dirty;
-        ++shard->counters.dirty_writebacks;
-        obs_dirty_writebacks_->Add();
-        ChargeWriteback(shard.get());
-      }
+      for (Frame& frame : *list) frame.dirty = false;
     }
-  }
-}
-
-void SharedBufferPool::DropAll() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->main.clear();
-    shard->probation.clear();
-    shard->map.clear();
-    shard->counters.resident = 0;
+    written += shard->counters.resident_dirty;
+    shard->counters.dirty_writebacks += shard->counters.resident_dirty;
     shard->counters.resident_dirty = 0;
-    if (shard->counters.pinned > 0) {
-      pinned_.fetch_sub(static_cast<int64_t>(shard->counters.pinned),
-                        std::memory_order_relaxed);
-      obs_pinned_->Add(-static_cast<int64_t>(shard->counters.pinned));
-      shard->counters.pinned = 0;
-    }
   }
+  obs_dirty_writebacks_->Add(written);
+  return written;
 }
 
 BufferPoolStats SharedBufferPool::stats() const {
@@ -304,10 +139,7 @@ BufferPoolStats SharedBufferPool::stats() const {
     total.dirty_writebacks += s.dirty_writebacks;
     total.resident += s.resident;
     total.resident_dirty += s.resident_dirty;
-    total.pinned += s.pinned;
   }
-  total.pin_high_water =
-      static_cast<uint64_t>(pin_hwm_.load(std::memory_order_relaxed));
   return total;
 }
 
@@ -315,19 +147,7 @@ BufferPoolStats SharedBufferPool::shard_stats(size_t s) const {
   CORADD_CHECK(s < shards_.size());
   const Shard& shard = *shards_[s];
   std::lock_guard<std::mutex> lock(shard.mu);
-  BufferPoolStats out = shard.counters;
-  out.pin_high_water =
-      static_cast<uint64_t>(pin_hwm_.load(std::memory_order_relaxed));
-  return out;
-}
-
-uint64_t SharedBufferPool::resident_pages() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->counters.resident;
-  }
-  return total;
+  return shard.counters;
 }
 
 }  // namespace coradd

@@ -1,28 +1,25 @@
-// Buffer pools for the simulated storage layer.
+// The buffer pool of the simulated storage layer.
 //
-// Two pools live here:
+// SharedBufferPool is the one page cache: N lock-striped shards keyed by
+// PageKey, each running one of two eviction policies, with dirty tracking.
+// It models residency only and prices no I/O; callers bill. Every
+// Read/Write reports whether it hit and how many dirty pages it wrote back
+// to make room, and FlushAll reports how many pages it wrote, so each
+// caller prices exactly the I/O its own touches caused on its own disk:
 //
-//  * BufferPool — the original serial LRU simulator. It remains the
-//    maintenance experiment's pool (A-3: inserting into a database with more
-//    materialized objects dirties more distinct pages, overflowing the pool
-//    and forcing random-write evictions) and doubles as the *reference
-//    model* the property tests replay SharedBufferPool against.
-//
-//  * SharedBufferPool — the concurrent, sharded pool the serving engine
-//    owns (docs/SERVING.md): N lock-striped shards keyed by PageKey,
-//    pin/unpin reference counts, a scan-resistant two-segment eviction
-//    policy (new pages enter a probation FIFO sized to ~1/4 of the shard;
-//    only a re-reference promotes to the protected LRU segment, so one
-//    giant single-touch scan churns the probation window instead of
-//    flushing the hot set), and dirty write-back on evict/flush charged to
-//    an attached DiskModel. Misses are NOT charged here — the caller bills
-//    its own DiskModel for the read (QueryExecutor::ChargeIo), which keeps
-//    per-query simulated seconds per-query even though the page state is
-//    shared. An exact-LRU policy is available so a single-shard pool can be
-//    replayed bit-for-bit against the serial reference model.
+//  * Insert maintenance (exec/maintenance.h, A-3 / Figure 14) owns a
+//    single-shard exact-LRU pool and bills each miss as a random page read,
+//    then the write-backs the touch reported.
+//  * The serving engine (docs/SERVING.md) owns a sharded pool with the
+//    scan-resistant two-segment policy (new pages enter a probation FIFO
+//    sized to ~1/4 of the shard; only a re-reference promotes to the
+//    protected LRU segment, so one giant single-touch scan churns the
+//    probation window instead of flushing the hot set). Each query bills
+//    its own misses (QueryExecutor::ChargeIo), which keeps per-query
+//    simulated seconds per-query even though the page state is shared;
+//    write-backs are counted in stats() and billed to no query.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -31,14 +28,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/status.h"
-#include "storage/disk_model.h"
-
 namespace coradd {
 
 namespace obs {
 class Counter;
-class Gauge;
 }  // namespace obs
 
 /// Identifies a page globally: (object id, page number within the object).
@@ -75,64 +68,10 @@ struct PageKeyHash {
   }
 };
 
-/// Fixed-capacity serial LRU pool of simulated pages with dirty tracking.
-class BufferPool {
- public:
-  /// `capacity_pages` must be > 0. `disk` must outlive the pool.
-  BufferPool(uint64_t capacity_pages, DiskModel* disk);
-
-  /// Touches a page for reading. Charges a random page read on a miss.
-  /// Returns true on a hit.
-  bool Read(PageKey key);
-
-  /// Touches a page for writing (marks dirty). Charges a read on a miss
-  /// (read-modify-write); the write itself is deferred to eviction/flush.
-  /// Returns true on a hit.
-  bool Write(PageKey key);
-
-  /// Writes back all dirty pages (sequential-ish checkpoint: charged as
-  /// random writes, matching the evict path's pessimism).
-  void FlushAll();
-
-  /// Drops every page without writing (the paper discards caches between
-  /// queries; reads after this are cold). Dirty state goes with the frames,
-  /// so a FlushAll after a drop writes nothing and reuse starts clean; the
-  /// cumulative hit/miss/eviction counters stay monotone.
-  void DropAll() {
-    lru_.clear();
-    map_.clear();
-  }
-
-  uint64_t capacity_pages() const { return capacity_; }
-  uint64_t resident_pages() const { return map_.size(); }
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-  uint64_t dirty_evictions() const { return dirty_evictions_; }
-
- private:
-  struct Frame {
-    PageKey key;
-    bool dirty;
-  };
-
-  /// Moves the frame to MRU position; returns true if present.
-  bool Touch(PageKey key, bool dirty);
-  void InsertFrame(PageKey key, bool dirty);
-  void EvictIfFull();
-
-  uint64_t capacity_;
-  DiskModel* disk_;
-  std::list<Frame> lru_;  ///< Front = most recently used.
-  std::unordered_map<PageKey, std::list<Frame>::iterator, PageKeyHash> map_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t dirty_evictions_ = 0;
-};
-
 /// Eviction policy of a SharedBufferPool.
 enum class EvictionPolicy {
-  /// Exact LRU — bit-identical touch/evict sequence to the serial
-  /// BufferPool when run with one shard (the property-test reference mode).
+  /// Exact LRU — the maintenance pool (one shard), and the policy the
+  /// property tests replay against a reference model.
   kLru,
   /// Scan-resistant two-segment policy (2Q-style probation, the default):
   /// new pages enter a probation FIFO (~1/4 of the shard); a hit while in
@@ -156,20 +95,26 @@ struct BufferPoolOptions {
   std::string name = "shared";
 };
 
+/// What one Read/Write did: whether the page was resident, and how many
+/// dirty pages were written back to make room for it. The caller bills a
+/// miss as a page read and each write-back as a page write, in that order.
+struct PageTouch {
+  bool hit = false;
+  uint64_t writebacks = 0;
+};
+
 /// Counter snapshot of a SharedBufferPool (aggregate or one shard). All
-/// counts are monotone except resident/resident_dirty/pinned.
+/// counts are monotone except resident/resident_dirty.
 struct BufferPoolStats {
-  uint64_t touches = 0;  ///< Read + Write + Pin calls (hits + misses).
+  uint64_t touches = 0;  ///< Read + Write calls (hits + misses).
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
-  /// Dirty pages written back (evictions + FlushAll), each charged exactly
-  /// once to the attached write-back disk.
+  /// Dirty pages written back (evictions + FlushAll), each reported exactly
+  /// once to the touch or flush that wrote it.
   uint64_t dirty_writebacks = 0;
   uint64_t resident = 0;
   uint64_t resident_dirty = 0;
-  uint64_t pinned = 0;         ///< Pages with pin count > 0 right now.
-  uint64_t pin_high_water = 0; ///< Max concurrently pinned pages (pool-wide).
 
   double hit_rate() const {
     return touches > 0 ? static_cast<double>(hits) / static_cast<double>(touches)
@@ -178,60 +123,36 @@ struct BufferPoolStats {
 };
 
 /// Concurrent, sharded buffer pool. Thread-safe: every operation takes only
-/// its shard's mutex (plus a dedicated disk mutex on dirty write-back), so
-/// touches to different shards never contend. Deterministic in
-/// single-threaded use: the hit/miss/evict sequence depends only on the
-/// touch sequence and options.
+/// its shard's mutex, so touches to different shards never contend.
+/// Deterministic in single-threaded use: the hit/miss/evict sequence depends
+/// only on the touch sequence and options.
 class SharedBufferPool {
  public:
-  /// `writeback_disk` (optional) is charged one WritePage per dirty
-  /// write-back, under an internal mutex; it must outlive the pool.
-  explicit SharedBufferPool(const BufferPoolOptions& options,
-                            DiskModel* writeback_disk = nullptr);
+  explicit SharedBufferPool(const BufferPoolOptions& options);
 
   SharedBufferPool(const SharedBufferPool&) = delete;
   SharedBufferPool& operator=(const SharedBufferPool&) = delete;
 
-  /// Touches a page for reading. Returns true on a hit; on a miss the page
-  /// becomes resident (possibly evicting) and the CALLER charges its own
-  /// DiskModel for the read.
-  bool Read(PageKey key);
+  /// Touches a page for reading. On a miss the page becomes resident,
+  /// possibly evicting (and writing back) another.
+  PageTouch Read(PageKey key);
 
   /// Touches a page for writing: marks it dirty; the write itself is
-  /// deferred to eviction or FlushAll. Returns true on a hit.
-  bool Write(PageKey key);
+  /// deferred to eviction or FlushAll.
+  PageTouch Write(PageKey key);
 
-  /// Read + pin in one atomic touch: the page is resident on return and
-  /// cannot be evicted until a matching Unpin. Pins nest (a reference
-  /// count). Returns true on a hit.
-  bool Pin(PageKey key);
-
-  /// Releases one pin. The page must be resident with pin count > 0 —
-  /// unpinning a non-pinned page is a caller bug (aborts), which is what
-  /// keeps pin counts from ever going negative.
-  void Unpin(PageKey key);
-
-  /// Writes back every dirty resident page (charged to the write-back
-  /// disk); pages stay resident and clean.
-  void FlushAll();
-
-  /// Drops every page without writing and resets dirty/pin accounting, so
-  /// reuse after a drop starts clean (a FlushAll right after writes
-  /// nothing, pinned_pages() == 0). Monotone counters are kept. The caller
-  /// must guarantee no concurrent users hold pins across the drop.
-  void DropAll();
+  /// Writes back every dirty resident page and returns how many; pages
+  /// stay resident and clean.
+  uint64_t FlushAll();
 
   /// Aggregate counters across all shards (each shard locked briefly).
   BufferPoolStats stats() const;
-  /// Counters of shard `s` only (pin_high_water is pool-wide).
+  /// Counters of shard `s` only.
   BufferPoolStats shard_stats(size_t s) const;
 
   size_t num_shards() const { return shards_.size(); }
   uint64_t capacity_pages() const { return capacity_; }
-  uint64_t resident_pages() const;
-  uint64_t pinned_pages() const {
-    return static_cast<uint64_t>(pinned_.load(std::memory_order_relaxed));
-  }
+  uint64_t resident_pages() const { return stats().resident; }
 
   /// Shard a key routes to — exposed so tests can check striping balance.
   size_t ShardOf(PageKey key) const {
@@ -241,7 +162,6 @@ class SharedBufferPool {
  private:
   struct Frame {
     PageKey key;
-    uint32_t pins = 0;
     bool dirty = false;
     bool probation = false;  ///< Which segment the frame lives in (kTwoQ).
   };
@@ -256,40 +176,28 @@ class SharedBufferPool {
     std::unordered_map<PageKey, FrameList::iterator, PageKeyHash> map;
     uint64_t capacity = 0;
     uint64_t probation_target = 0;
-    BufferPoolStats counters;  ///< resident/pinned maintained inline.
+    BufferPoolStats counters;  ///< resident/resident_dirty maintained inline.
     obs::Counter* obs_hits = nullptr;
     obs::Counter* obs_misses = nullptr;
     obs::Counter* obs_evictions = nullptr;
   };
 
-  bool Touch(PageKey key, bool dirty, bool pin);
-  /// Evicts until shard residency <= capacity or only pinned pages remain
-  /// (the pool then runs transiently over capacity). Called under shard.mu.
-  void EvictIfNeeded(Shard* shard);
-  /// Removes `it` from its segment; charges a write-back if dirty. Called
-  /// under shard.mu.
-  void EvictFrame(Shard* shard, FrameList::iterator it);
-  /// Last unpinned frame of `list` (reverse scan), or end().
-  static FrameList::iterator FindVictim(FrameList* list);
-  void ChargeWriteback(Shard* shard);
-  void NotePin(Shard* shard);
-  void NoteUnpin(Shard* shard);
+  PageTouch Touch(PageKey key, bool dirty);
+  /// Evicts the policy's victim from a shard one page over capacity;
+  /// returns 1 if it was dirty (written back), else 0. Called under
+  /// shard.mu.
+  uint64_t EvictOne(Shard* shard);
 
   uint64_t capacity_;
   EvictionPolicy policy_;
-  DiskModel* writeback_disk_;
-  std::mutex disk_mu_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<int64_t> pinned_{0};
-  std::atomic<int64_t> pin_hwm_{0};
-  // Process-wide aggregate obs counters (shared by every pool) plus the
-  // per-pool pinned gauge; per-shard counters live on the Shard.
+  // Process-wide aggregate obs counters (shared by every pool); per-shard
+  // counters live on the Shard.
   obs::Counter* obs_touches_ = nullptr;
   obs::Counter* obs_hits_ = nullptr;
   obs::Counter* obs_misses_ = nullptr;
   obs::Counter* obs_evictions_ = nullptr;
   obs::Counter* obs_dirty_writebacks_ = nullptr;
-  obs::Gauge* obs_pinned_ = nullptr;
 };
 
 }  // namespace coradd

@@ -1,23 +1,79 @@
-// Tests for the concurrent sharded buffer pool (storage/buffer_pool.h):
-// property tests replaying SharedBufferPool against the serial LRU reference
-// model, scan resistance of the two-segment policy, pin semantics, accounting
-// invariants, capacity edges, and an 8-thread mixed stress hammer.
+// Tests for the sharded buffer pool (storage/buffer_pool.h): property tests
+// replaying SharedBufferPool against a serial LRU reference model that lives
+// in this file, scan resistance of the two-segment policy, accounting
+// invariants (every write-back reported exactly once), capacity edges, and
+// an 8-thread mixed stress hammer.
 //
 // Naming convention: cheap deterministic cases are `BufferPoolTest.*` (smoke
 // label); the multi-threaded hammer lives in `BufferPoolStressTest.*` so the
 // smoke filter can exclude it while the full suite and the TSan CI job run it.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <list>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
 #include "storage/buffer_pool.h"
-#include "storage/disk_model.h"
 
 namespace coradd {
 namespace {
+
+/// Serial exact-LRU pool with dirty tracking, written as plainly as
+/// possible: the reference model SharedBufferPool{kLru, 1 shard} must
+/// replay touch for touch. Unlike the pool, it evicts before admitting.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(uint64_t capacity) : capacity_(capacity) {}
+
+  PageTouch Touch(PageKey key, bool dirty) {
+    PageTouch out;
+    auto it = map_.find(key);
+    if (it != map_.end()) {
+      it->second->dirty = it->second->dirty || dirty;
+      lru_.splice(lru_.begin(), lru_, it->second);
+      ++hits_;
+      out.hit = true;
+      return out;
+    }
+    ++misses_;
+    if (map_.size() == capacity_) {
+      out.writebacks = lru_.back().dirty ? 1 : 0;
+      map_.erase(lru_.back().key);
+      lru_.pop_back();
+    }
+    lru_.push_front(Frame{key, dirty});
+    map_[key] = lru_.begin();
+    return out;
+  }
+
+  uint64_t FlushAll() {
+    uint64_t written = 0;
+    for (Frame& f : lru_) {
+      if (f.dirty) ++written;
+      f.dirty = false;
+    }
+    return written;
+  }
+
+  uint64_t hits() const { return hits_; }
+  uint64_t misses() const { return misses_; }
+  uint64_t resident() const { return map_.size(); }
+
+ private:
+  struct Frame {
+    PageKey key;
+    bool dirty;
+  };
+  uint64_t capacity_;
+  std::list<Frame> lru_;  ///< Front = most recently used.
+  std::unordered_map<PageKey, std::list<Frame>::iterator, PageKeyHash> map_;
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
+};
 
 // ---------- PageKeyHash / striping ----------
 
@@ -52,52 +108,48 @@ TEST(BufferPoolTest, HashSpreadsConsecutivePagesAcrossShards) {
 // ---------- Property: single-shard kLru replays the serial reference ----------
 
 TEST(BufferPoolTest, SingleShardLruMatchesSerialReferenceModel) {
-  // Random mixed read/write sequence over a key space 4x the capacity; the
-  // serial BufferPool is the reference model. Per-operation hit/miss must
-  // agree, and so must the final counters and the number of dirty pages
-  // written back (exactly-once: reference disk writes == shared write-back
-  // disk writes == dirty_writebacks).
+  // Random mixed read/write sequence over a key space 4x the capacity.
+  // Per-touch hit/miss and write-back count must agree with the reference
+  // model, and so must the final counters and what FlushAll writes.
   constexpr uint64_t kCapacity = 32;
   constexpr int kOps = 20000;
 
-  DiskModel ref_disk;
-  BufferPool ref(kCapacity, &ref_disk);
-
-  DiskModel shared_disk;
+  ReferenceLru ref(kCapacity);
   BufferPoolOptions opt;
   opt.capacity_pages = kCapacity;
   opt.num_shards = 1;
   opt.policy = EvictionPolicy::kLru;
   opt.name = "lru_ref";
-  SharedBufferPool pool(opt, &shared_disk);
+  SharedBufferPool pool(opt);
 
   Rng rng(42);
+  uint64_t reported = 0;
   for (int i = 0; i < kOps; ++i) {
     const PageKey key{static_cast<uint32_t>(1 + rng.Uniform(3)),
                       rng.Uniform(4 * kCapacity)};
-    if (rng.Bernoulli(0.3)) {
-      EXPECT_EQ(ref.Write(key), pool.Write(key)) << "op " << i;
-    } else {
-      EXPECT_EQ(ref.Read(key), pool.Read(key)) << "op " << i;
-    }
+    const bool dirty = rng.Bernoulli(0.3);
+    const PageTouch want = ref.Touch(key, dirty);
+    const PageTouch got = dirty ? pool.Write(key) : pool.Read(key);
+    EXPECT_EQ(got.hit, want.hit) << "op " << i;
+    EXPECT_EQ(got.writebacks, want.writebacks) << "op " << i;
+    reported += got.writebacks;
   }
 
   const BufferPoolStats s = pool.stats();
   EXPECT_EQ(s.hits, ref.hits());
   EXPECT_EQ(s.misses, ref.misses());
   EXPECT_EQ(s.touches, s.hits + s.misses);
-  EXPECT_EQ(s.resident, ref.resident_pages());
+  EXPECT_EQ(s.resident, ref.resident());
   EXPECT_EQ(pool.resident_pages(), kCapacity);
+  EXPECT_EQ(s.dirty_writebacks, reported);
 
-  // Same victims in the same order implies the same dirty pages went out.
-  EXPECT_EQ(shared_disk.pages_written(), ref_disk.pages_written());
-  ref.FlushAll();
-  pool.FlushAll();
-  EXPECT_EQ(shared_disk.pages_written(), ref_disk.pages_written());
-  EXPECT_EQ(pool.stats().dirty_writebacks, shared_disk.pages_written());
+  // Same victims in the same order implies the same dirty pages remain.
+  const uint64_t flushed = pool.FlushAll();
+  EXPECT_EQ(flushed, ref.FlushAll());
+  EXPECT_EQ(pool.stats().dirty_writebacks, reported + flushed);
   // Flushed pages stay resident and clean: a second flush writes nothing.
-  pool.FlushAll();
-  EXPECT_EQ(shared_disk.pages_written(), ref_disk.pages_written());
+  EXPECT_EQ(pool.FlushAll(), 0u);
+  EXPECT_EQ(pool.resident_pages(), kCapacity);
 }
 
 // ---------- Scan resistance (kTwoQ) ----------
@@ -121,7 +173,7 @@ TEST(BufferPoolTest, TwoQHotSetSurvivesGiantScanLruDoesNot) {
     // Re-touch the hot set and count hits.
     uint64_t hits = 0;
     for (uint64_t p = 0; p < kHot; ++p) {
-      if (pool.Read(PageKey{1, p})) ++hits;
+      if (pool.Read(PageKey{1, p}).hit) ++hits;
     }
     return hits;
   };
@@ -129,64 +181,6 @@ TEST(BufferPoolTest, TwoQHotSetSurvivesGiantScanLruDoesNot) {
   // is untouched. Exact LRU flushes everything.
   EXPECT_EQ(run(EvictionPolicy::kTwoQ), kHot);
   EXPECT_EQ(run(EvictionPolicy::kLru), 0u);
-}
-
-// ---------- Pins ----------
-
-TEST(BufferPoolTest, PinnedPagesNeverEvictedAndOverCapacityIsTransient) {
-  BufferPoolOptions opt;
-  opt.capacity_pages = 4;
-  opt.num_shards = 1;
-  SharedBufferPool pool(opt);
-
-  for (uint64_t p = 0; p < 4; ++p) pool.Pin(PageKey{1, p});
-  EXPECT_EQ(pool.pinned_pages(), 4u);
-
-  // Every frame is pinned: an unpinned admission is the only eviction
-  // candidate, so it bounces straight back out and the pinned set survives.
-  for (uint64_t p = 100; p < 103; ++p) pool.Read(PageKey{1, p});
-  EXPECT_EQ(pool.resident_pages(), 4u);
-  for (uint64_t p = 0; p < 4; ++p) {
-    EXPECT_TRUE(pool.Read(PageKey{1, p})) << "pinned page " << p << " evicted";
-  }
-
-  // Pinned admissions cannot be evicted either: the pool runs transiently
-  // over capacity until the pins are released.
-  for (uint64_t p = 100; p < 103; ++p) pool.Pin(PageKey{1, p});
-  EXPECT_EQ(pool.resident_pages(), 7u);
-  EXPECT_EQ(pool.pinned_pages(), 7u);
-
-  // Releasing the pins drains the excess back to capacity.
-  for (uint64_t p = 100; p < 103; ++p) pool.Unpin(PageKey{1, p});
-  for (uint64_t p = 0; p < 4; ++p) pool.Unpin(PageKey{1, p});
-  EXPECT_EQ(pool.pinned_pages(), 0u);
-  EXPECT_EQ(pool.resident_pages(), 4u);
-
-  const BufferPoolStats s = pool.stats();
-  EXPECT_EQ(s.pin_high_water, 7u);
-  EXPECT_EQ(s.pinned, 0u);
-}
-
-TEST(BufferPoolTest, PinsNestAsAReferenceCount) {
-  BufferPoolOptions opt;
-  opt.capacity_pages = 2;
-  opt.num_shards = 1;
-  SharedBufferPool pool(opt);
-
-  const PageKey key{1, 0};
-  pool.Pin(key);
-  pool.Pin(key);  // Nested pin of the same page: still one pinned page.
-  EXPECT_EQ(pool.pinned_pages(), 1u);
-  pool.Unpin(key);
-  EXPECT_EQ(pool.pinned_pages(), 1u);  // One pin still outstanding.
-  // Fill + overflow: the page must survive while any pin remains.
-  pool.Read(PageKey{1, 10});
-  pool.Read(PageKey{1, 11});
-  pool.Read(PageKey{1, 12});
-  EXPECT_TRUE(pool.Read(key));
-  pool.Unpin(key);
-  EXPECT_EQ(pool.pinned_pages(), 0u);
-  EXPECT_LE(pool.resident_pages(), 2u);
 }
 
 // ---------- Capacity edges ----------
@@ -199,8 +193,8 @@ TEST(BufferPoolTest, CapacityOneAlternatingKeysAlwaysMisses) {
   ASSERT_EQ(pool.num_shards(), 1u);  // auto = min(8, capacity).
 
   for (int i = 0; i < 10; ++i) {
-    EXPECT_FALSE(pool.Read(PageKey{1, 0}));
-    EXPECT_FALSE(pool.Read(PageKey{1, 1}));
+    EXPECT_FALSE(pool.Read(PageKey{1, 0}).hit);
+    EXPECT_FALSE(pool.Read(PageKey{1, 1}).hit);
   }
   const BufferPoolStats s = pool.stats();
   EXPECT_EQ(s.misses, 20u);
@@ -208,7 +202,7 @@ TEST(BufferPoolTest, CapacityOneAlternatingKeysAlwaysMisses) {
   EXPECT_EQ(s.evictions, 19u);
   EXPECT_EQ(s.resident, 1u);
   // Re-reading the resident page is a hit even at capacity 1.
-  EXPECT_TRUE(pool.Read(PageKey{1, 1}));
+  EXPECT_TRUE(pool.Read(PageKey{1, 1}).hit);
 }
 
 TEST(BufferPoolTest, ShardCountClampedToCapacity) {
@@ -223,26 +217,20 @@ TEST(BufferPoolTest, ShardCountClampedToCapacity) {
 // ---------- Accounting invariants ----------
 
 TEST(BufferPoolTest, AccountingInvariantsUnderRandomMix) {
-  DiskModel disk;
   BufferPoolOptions opt;
   opt.capacity_pages = 48;
   opt.num_shards = 4;
-  SharedBufferPool pool(opt, &disk);
+  SharedBufferPool pool(opt);
 
   Rng rng(7);
   uint64_t ops = 0;
+  uint64_t reported = 0;
   for (int i = 0; i < 30000; ++i, ++ops) {
     const PageKey key{static_cast<uint32_t>(1 + rng.Uniform(2)),
                       rng.Uniform(256)};
-    const double r = rng.UniformDouble();
-    if (r < 0.25) {
-      pool.Write(key);
-    } else if (r < 0.30) {
-      pool.Pin(key);
-      pool.Unpin(key);
-    } else {
-      pool.Read(key);
-    }
+    const PageTouch t =
+        rng.UniformDouble() < 0.25 ? pool.Write(key) : pool.Read(key);
+    reported += t.writebacks;
   }
 
   const BufferPoolStats s = pool.stats();
@@ -251,7 +239,6 @@ TEST(BufferPoolTest, AccountingInvariantsUnderRandomMix) {
   EXPECT_EQ(s.resident, s.misses - s.evictions);
   EXPECT_EQ(s.resident, pool.resident_pages());
   EXPECT_LE(s.resident, pool.capacity_pages());
-  EXPECT_EQ(s.pinned, 0u);
   EXPECT_LE(s.resident_dirty, s.resident);
 
   // The aggregate is exactly the sum of the shards.
@@ -272,94 +259,42 @@ TEST(BufferPoolTest, AccountingInvariantsUnderRandomMix) {
   EXPECT_EQ(sum.dirty_writebacks, s.dirty_writebacks);
   EXPECT_EQ(sum.resident, s.resident);
 
-  // Exactly-once write-back: every dirty write-back charged one WritePage.
-  EXPECT_EQ(disk.pages_written(), s.dirty_writebacks);
-  pool.FlushAll();
+  // Exactly-once write-back: the touches reported every write-back the
+  // pool counted, and FlushAll reports the rest.
+  EXPECT_EQ(reported, s.dirty_writebacks);
+  const uint64_t flushed = pool.FlushAll();
+  EXPECT_EQ(flushed, s.resident_dirty);
   const BufferPoolStats f = pool.stats();
   EXPECT_EQ(f.resident_dirty, 0u);
-  EXPECT_EQ(disk.pages_written(), f.dirty_writebacks);
-}
-
-TEST(BufferPoolTest, DropAllResetsDirtyAndPinAccounting) {
-  DiskModel disk;
-  BufferPoolOptions opt;
-  opt.capacity_pages = 16;
-  opt.num_shards = 2;
-  SharedBufferPool pool(opt, &disk);
-
-  for (uint64_t p = 0; p < 8; ++p) pool.Write(PageKey{1, p});
-  pool.Pin(PageKey{1, 0});
-  pool.Pin(PageKey{1, 1});
-  const BufferPoolStats before = pool.stats();
-  EXPECT_EQ(before.resident_dirty, 8u);
-  EXPECT_EQ(before.pinned, 2u);
-
-  pool.DropAll();
-  const BufferPoolStats after = pool.stats();
-  EXPECT_EQ(after.resident, 0u);
-  EXPECT_EQ(after.resident_dirty, 0u);
-  EXPECT_EQ(after.pinned, 0u);
-  EXPECT_EQ(pool.pinned_pages(), 0u);
-  // Dirty state went with the frames: flushing now writes nothing.
-  pool.FlushAll();
-  EXPECT_EQ(disk.pages_written(), 0u);
-  // Monotone counters survive the drop; reuse starts cold.
-  EXPECT_EQ(after.touches, before.touches);
-  EXPECT_EQ(after.misses, before.misses);
-  EXPECT_FALSE(pool.Read(PageKey{1, 0}));
-}
-
-// Serial reference model: DropAll drops dirty state with the frames, so a
-// flush right after a drop writes nothing and reuse starts cold.
-TEST(BufferPoolTest, SerialDropAllDropsDirtyState) {
-  DiskModel disk;
-  BufferPool pool(8, &disk);
-  for (uint64_t p = 0; p < 4; ++p) pool.Write(PageKey{1, p});
-  pool.DropAll();
-  EXPECT_EQ(pool.resident_pages(), 0u);
-  const uint64_t written_before = disk.pages_written();
-  pool.FlushAll();
-  EXPECT_EQ(disk.pages_written(), written_before);
-  // Reads after the drop are cold again.
-  EXPECT_FALSE(pool.Read(PageKey{1, 0}));
+  EXPECT_EQ(reported + flushed, f.dirty_writebacks);
 }
 
 // ---------- 8-thread mixed stress ----------
 
 TEST(BufferPoolStressTest, EightThreadMixedHammerKeepsInvariants) {
-  DiskModel disk;
   BufferPoolOptions opt;
   opt.capacity_pages = 256;
   opt.num_shards = 8;
   opt.name = "stress";
-  SharedBufferPool pool(opt, &disk);
+  SharedBufferPool pool(opt);
 
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 20000;
+  std::atomic<uint64_t> reported{0};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&pool, t] {
+    threads.emplace_back([&pool, &reported, t] {
       Rng rng(1000 + static_cast<uint64_t>(t));
-      std::vector<PageKey> pinned;
+      uint64_t mine = 0;
       for (int i = 0; i < kOpsPerThread; ++i) {
         const PageKey key{static_cast<uint32_t>(1 + rng.Uniform(4)),
                           rng.Uniform(1024)};
-        const double r = rng.UniformDouble();
-        if (r < 0.30) {
-          pool.Write(key);
-        } else if (r < 0.40) {
-          pool.Pin(key);
-          pinned.push_back(key);
-          if (pinned.size() > 4) {  // Bounded pin window per thread.
-            pool.Unpin(pinned.front());
-            pinned.erase(pinned.begin());
-          }
-        } else {
-          pool.Read(key);
-        }
+        const PageTouch touch =
+            rng.UniformDouble() < 0.30 ? pool.Write(key) : pool.Read(key);
+        mine += touch.writebacks;
       }
-      for (const PageKey& key : pinned) pool.Unpin(key);
+      reported.fetch_add(mine);
     });
   }
   for (std::thread& th : threads) th.join();
@@ -368,20 +303,16 @@ TEST(BufferPoolStressTest, EightThreadMixedHammerKeepsInvariants) {
   EXPECT_EQ(s.touches, static_cast<uint64_t>(kThreads) * kOpsPerThread);
   EXPECT_EQ(s.hits + s.misses, s.touches);
   EXPECT_EQ(s.resident, s.misses - s.evictions);
-  EXPECT_EQ(s.pinned, 0u);
-  EXPECT_EQ(pool.pinned_pages(), 0u);
-  // All pins released: residency is back within capacity.
   EXPECT_LE(pool.resident_pages(), pool.capacity_pages());
-  EXPECT_LE(s.pin_high_water, static_cast<uint64_t>(kThreads) * 5);
 
   // Exactly-once dirty write-back under concurrency: no lost and no double
-  // charges — the write-back disk saw one WritePage per recorded write-back,
-  // before and after the final flush.
-  EXPECT_EQ(disk.pages_written(), s.dirty_writebacks);
-  pool.FlushAll();
+  // reports — the write-backs the touches reported, plus what the final
+  // FlushAll reports, add up to the pool's count.
+  EXPECT_EQ(reported.load(), s.dirty_writebacks);
+  const uint64_t flushed = pool.FlushAll();
   const BufferPoolStats f = pool.stats();
   EXPECT_EQ(f.resident_dirty, 0u);
-  EXPECT_EQ(disk.pages_written(), f.dirty_writebacks);
+  EXPECT_EQ(reported.load() + flushed, f.dirty_writebacks);
 }
 
 }  // namespace

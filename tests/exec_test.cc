@@ -450,10 +450,9 @@ TEST_F(ExecTest, PlanPassMembersMatchOneMemberRunPlan) {
       {&cm_plan, {&gathered, &stored, &all_rows}}, {&bt_plan, {&point}}};
   std::vector<QueryRunResult> first;  // per (pass, member), first config
   for (const bool pooled : {false, true}) {
-    DiskModel pool_disk(Disk());
     BufferPoolOptions bp;
     bp.capacity_pages = 256;
-    SharedBufferPool page_pool(bp, &pool_disk);
+    SharedBufferPool page_pool(bp);
     for (size_t threads : {1u, 2u, 8u}) {
       ThreadPool pool(threads);
       for (size_t batch : {1u, 64u, 4096u}) {

@@ -1,5 +1,6 @@
 // Tests for src/storage: page-layout arithmetic, B+Tree shape, fragment
-// coalescing, buffer pool, and the seek/scan disk model.
+// coalescing, the buffer pool in its maintenance configuration, and the
+// seek/scan disk model.
 #include <gtest/gtest.h>
 
 #include "storage/buffer_pool.h"
@@ -137,80 +138,76 @@ TEST(DiskModelTest, Reset) {
   EXPECT_EQ(d.elapsed_seconds(), 0.0);
 }
 
-// ---------- BufferPool ----------
+// ---------- SharedBufferPool, maintenance configuration ----------
+
+/// The pool insert maintenance runs on: one shard, exact LRU.
+BufferPoolOptions Lru(uint64_t capacity_pages) {
+  BufferPoolOptions opt;
+  opt.capacity_pages = capacity_pages;
+  opt.num_shards = 1;
+  opt.policy = EvictionPolicy::kLru;
+  return opt;
+}
 
 TEST(BufferPoolTest, HitsAndMisses) {
-  DiskModel disk;
-  BufferPool pool(4, &disk);
-  EXPECT_FALSE(pool.Read({1, 0}));
-  EXPECT_TRUE(pool.Read({1, 0}));
-  EXPECT_EQ(pool.hits(), 1u);
-  EXPECT_EQ(pool.misses(), 1u);
+  SharedBufferPool pool(Lru(4));
+  EXPECT_FALSE(pool.Read({1, 0}).hit);
+  EXPECT_TRUE(pool.Read({1, 0}).hit);
+  EXPECT_EQ(pool.stats().hits, 1u);
+  EXPECT_EQ(pool.stats().misses, 1u);
 }
 
 TEST(BufferPoolTest, LruEviction) {
-  DiskModel disk;
-  BufferPool pool(2, &disk);
+  SharedBufferPool pool(Lru(2));
   pool.Read({1, 0});
   pool.Read({1, 1});
-  pool.Read({1, 2});           // evicts page 0
-  EXPECT_FALSE(pool.Read({1, 0}));  // miss again
-  EXPECT_TRUE(pool.Read({1, 2}));
+  pool.Read({1, 2});                     // evicts page 0
+  EXPECT_FALSE(pool.Read({1, 0}).hit);  // miss again
+  EXPECT_TRUE(pool.Read({1, 2}).hit);
 }
 
 TEST(BufferPoolTest, TouchRefreshesLruOrder) {
-  DiskModel disk;
-  BufferPool pool(2, &disk);
+  SharedBufferPool pool(Lru(2));
   pool.Read({1, 0});
   pool.Read({1, 1});
   pool.Read({1, 0});  // page 0 now MRU
   pool.Read({1, 2});  // evicts page 1
-  EXPECT_TRUE(pool.Read({1, 0}));
-  EXPECT_FALSE(pool.Read({1, 1}));
+  EXPECT_TRUE(pool.Read({1, 0}).hit);
+  EXPECT_FALSE(pool.Read({1, 1}).hit);
 }
 
 TEST(BufferPoolTest, DirtyEvictionWrites) {
-  DiskModel disk;
-  BufferPool pool(2, &disk);
-  pool.Write({1, 0});
-  pool.Write({1, 1});
-  const uint64_t writes_before = disk.pages_written();
-  pool.Read({1, 2});  // evicts dirty page 0
-  EXPECT_EQ(disk.pages_written(), writes_before + 1);
-  EXPECT_EQ(pool.dirty_evictions(), 1u);
+  SharedBufferPool pool(Lru(2));
+  EXPECT_EQ(pool.Write({1, 0}).writebacks, 0u);
+  EXPECT_EQ(pool.Write({1, 1}).writebacks, 0u);
+  EXPECT_EQ(pool.Read({1, 2}).writebacks, 1u);  // evicts dirty page 0
+  EXPECT_EQ(pool.stats().dirty_writebacks, 1u);
 }
 
 TEST(BufferPoolTest, CleanEvictionDoesNotWrite) {
-  DiskModel disk;
-  BufferPool pool(2, &disk);
+  SharedBufferPool pool(Lru(2));
   pool.Read({1, 0});
   pool.Read({1, 1});
-  const uint64_t writes_before = disk.pages_written();
-  pool.Read({1, 2});
-  EXPECT_EQ(disk.pages_written(), writes_before);
+  EXPECT_EQ(pool.Read({1, 2}).writebacks, 0u);
+  EXPECT_EQ(pool.stats().evictions, 1u);
+  EXPECT_EQ(pool.stats().dirty_writebacks, 0u);
 }
 
 TEST(BufferPoolTest, FlushAllWritesDirtyOnce) {
-  DiskModel disk;
-  BufferPool pool(8, &disk);
+  SharedBufferPool pool(Lru(8));
   pool.Write({1, 0});
   pool.Write({1, 1});
   pool.Read({1, 2});
-  const uint64_t writes_before = disk.pages_written();
-  pool.FlushAll();
-  EXPECT_EQ(disk.pages_written(), writes_before + 2);
-  pool.FlushAll();  // already clean
-  EXPECT_EQ(disk.pages_written(), writes_before + 2);
+  EXPECT_EQ(pool.FlushAll(), 2u);
+  EXPECT_EQ(pool.FlushAll(), 0u);  // already clean
+  EXPECT_EQ(pool.stats().dirty_writebacks, 2u);
 }
 
 TEST(BufferPoolTest, ReadAfterWriteIsHitAndStaysDirty) {
-  DiskModel disk;
-  BufferPool pool(4, &disk);
+  SharedBufferPool pool(Lru(4));
   pool.Write({1, 0});
-  EXPECT_TRUE(pool.Read({1, 0}));
-  const uint64_t writes_before = disk.pages_written();
-  pool.FlushAll();
-  EXPECT_EQ(disk.pages_written(), writes_before + 1);
+  EXPECT_TRUE(pool.Read({1, 0}).hit);
+  EXPECT_EQ(pool.FlushAll(), 1u);
 }
 
 // ---------- ClusteredTable ----------
