@@ -14,7 +14,7 @@ InsertionSimulator::InsertionSimulator(std::vector<MaintainedObject> objects,
                               .name = "maintenance"}),
       rng_(options.seed) {}
 
-void InsertionSimulator::WritePage(PageKey key) {
+void InsertionSimulator::DirtyPage(PageKey key) {
   const PageTouch touch = pool_.Write(key);
   if (!touch.hit) {  // read-modify-write: the page comes in first
     disk_.Seek();
@@ -34,11 +34,11 @@ void InsertionSimulator::ApplyInserts(uint64_t count) {
       // Heap page the new row lands on.
       const uint64_t heap_page =
           obj.append_only ? obj.heap_pages - 1 : rng_.Uniform(obj.heap_pages);
-      WritePage(PageKey{object_id, heap_page});
+      DirtyPage(PageKey{object_id, heap_page});
       // One leaf page of each secondary structure (PK index, dense B+Tree)
       // is dirtied per insert as well.
       if (obj.index_pages > 0) {
-        WritePage(PageKey{object_id | kIndexPageObjectFlag,
+        DirtyPage(PageKey{object_id | kIndexPageObjectFlag,
                           rng_.Uniform(obj.index_pages)});
       }
     }

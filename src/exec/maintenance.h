@@ -90,7 +90,7 @@ class InsertionSimulator {
  private:
   /// Dirties `key` in the simulator's pool (billing the miss, then the
   /// write-backs) and in the mirror.
-  void WritePage(PageKey key);
+  void DirtyPage(PageKey key);
 
   std::vector<MaintainedObject> objects_;
   DiskModel disk_;

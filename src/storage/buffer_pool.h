@@ -152,7 +152,6 @@ class SharedBufferPool {
 
   size_t num_shards() const { return shards_.size(); }
   uint64_t capacity_pages() const { return capacity_; }
-  uint64_t resident_pages() const { return stats().resident; }
 
   /// Shard a key routes to — exposed so tests can check striping balance.
   size_t ShardOf(PageKey key) const {

@@ -140,7 +140,7 @@ TEST(BufferPoolTest, SingleShardLruMatchesSerialReferenceModel) {
   EXPECT_EQ(s.misses, ref.misses());
   EXPECT_EQ(s.touches, s.hits + s.misses);
   EXPECT_EQ(s.resident, ref.resident());
-  EXPECT_EQ(pool.resident_pages(), kCapacity);
+  EXPECT_EQ(s.resident, kCapacity);
   EXPECT_EQ(s.dirty_writebacks, reported);
 
   // Same victims in the same order implies the same dirty pages remain.
@@ -149,7 +149,7 @@ TEST(BufferPoolTest, SingleShardLruMatchesSerialReferenceModel) {
   EXPECT_EQ(pool.stats().dirty_writebacks, reported + flushed);
   // Flushed pages stay resident and clean: a second flush writes nothing.
   EXPECT_EQ(pool.FlushAll(), 0u);
-  EXPECT_EQ(pool.resident_pages(), kCapacity);
+  EXPECT_EQ(pool.stats().resident, kCapacity);
 }
 
 // ---------- Scan resistance (kTwoQ) ----------
@@ -237,7 +237,6 @@ TEST(BufferPoolTest, AccountingInvariantsUnderRandomMix) {
   EXPECT_EQ(s.touches, ops);
   EXPECT_EQ(s.hits + s.misses, s.touches);
   EXPECT_EQ(s.resident, s.misses - s.evictions);
-  EXPECT_EQ(s.resident, pool.resident_pages());
   EXPECT_LE(s.resident, pool.capacity_pages());
   EXPECT_LE(s.resident_dirty, s.resident);
 
@@ -303,7 +302,7 @@ TEST(BufferPoolStressTest, EightThreadMixedHammerKeepsInvariants) {
   EXPECT_EQ(s.touches, static_cast<uint64_t>(kThreads) * kOpsPerThread);
   EXPECT_EQ(s.hits + s.misses, s.touches);
   EXPECT_EQ(s.resident, s.misses - s.evictions);
-  EXPECT_LE(pool.resident_pages(), pool.capacity_pages());
+  EXPECT_LE(s.resident, pool.capacity_pages());
 
   // Exactly-once dirty write-back under concurrency: no lost and no double
   // reports — the write-backs the touches reported, plus what the final
