@@ -1,7 +1,12 @@
 // Tests for src/core: DesignContext construction, CORADD designer invariants
 // (budget respected, cost monotone in budget, at most one re-clustering per
-// fact), baseline designers, evaluator routing, and DDL export.
+// fact), baseline designers, evaluator routing, DDL export, and a golden
+// hash of every designer's output across a budget grid.
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <map>
+#include <string_view>
 
 #include "core/baseline_designers.h"
 #include "core/coradd_designer.h"
@@ -275,6 +280,91 @@ TEST_F(CoreTest, FeedbackNeverHurtsExpectedCost) {
         d_without.Design(*workload_, budget).expected_seconds;
     EXPECT_LE(c_with, c_without + 1e-9) << budget;
   }
+}
+
+// The tests above compare designs within one build; this pins every
+// designer's output across commits. Naive, Commercial and CORADD
+// (DesignMany) each design at eight budgets, and every design folds its
+// designer, budget, objects (by ObjectSignature), routing, bytes and the
+// bits of expected_seconds into one FNV-1a hash. Any change to the constant
+// means a refactor moved a design.
+class DesignerGoldenTest : public CoreTest {
+ protected:
+  static uint64_t Mix(std::string_view bytes, uint64_t h) {
+    for (const unsigned char c : bytes) {
+      h ^= c;
+      h *= 1099511628211ull;
+    }
+    return h;
+  }
+  template <typename T>
+  static uint64_t Mix(T v, uint64_t h) {
+    return Mix(std::string_view(reinterpret_cast<const char*>(&v), sizeof v),
+               h);
+  }
+
+  /// Budget held, at most one non-base re-clustering per fact, every query
+  /// routed to a chosen object.
+  static void ExpectInvariants(const DatabaseDesign& d) {
+    EXPECT_LE(d.object_bytes, d.budget_bytes) << d.designer;
+    std::map<std::string, int> reclusters;
+    for (const auto& obj : d.objects) {
+      if (obj.spec.is_fact_recluster && !obj.spec.is_base) {
+        EXPECT_LE(++reclusters[obj.spec.fact_table], 1)
+            << d.designer << " " << d.budget_bytes;
+      }
+    }
+    ASSERT_EQ(d.object_for_query.size(), workload_->queries.size());
+    for (const int oi : d.object_for_query) {
+      EXPECT_GE(oi, 0) << d.designer << " " << d.budget_bytes;
+      EXPECT_LT(oi, static_cast<int>(d.objects.size())) << d.designer;
+    }
+  }
+
+  static uint64_t MixDesign(const DatabaseDesign& d, uint64_t h) {
+    h = Mix(std::string_view(d.designer), h);
+    h = Mix(d.budget_bytes, h);
+    h = Mix(d.objects.size(), h);
+    for (const auto& obj : d.objects) {
+      const std::string sig = ObjectSignature(obj);
+      h = Mix(sig.size(), h);
+      h = Mix(std::string_view(sig), h);
+    }
+    for (const int oi : d.object_for_query) h = Mix(oi, h);
+    h = Mix(d.object_bytes, h);
+    return Mix(std::bit_cast<uint64_t>(d.expected_seconds), h);
+  }
+};
+
+// Captured 2026-10-17 with the serial branch-and-bound engine still in the
+// tree (Naive's density greedy ran on it), gcc 12 -O2.
+constexpr uint64_t kGoldenDesignsSsb = 0xbe20b63bb03461c6ull;
+
+TEST_F(DesignerGoldenTest, SsbMatchesSnapshot) {
+  std::vector<uint64_t> budgets;
+  for (const uint64_t mb : {0, 1, 2, 4, 8, 16, 32, 64}) {
+    budgets.push_back(mb << 20);
+  }
+  const NaiveDesigner naive(context_);
+  const CommercialDesigner commercial(context_);
+  std::vector<DatabaseDesign> designs;
+  for (const uint64_t budget : budgets) {
+    designs.push_back(naive.Design(*workload_, budget));
+  }
+  for (const uint64_t budget : budgets) {
+    designs.push_back(commercial.Design(*workload_, budget));
+  }
+  for (auto& d :
+       CoraddDesigner(context_, FastOptions()).DesignMany(*workload_, budgets)) {
+    designs.push_back(std::move(d));
+  }
+
+  uint64_t h = 1469598103934665603ull;
+  for (const DatabaseDesign& d : designs) {
+    ExpectInvariants(d);
+    h = MixDesign(d, h);
+  }
+  EXPECT_EQ(h, kGoldenDesignsSsb) << std::hex << "0x" << h;
 }
 
 }  // namespace
