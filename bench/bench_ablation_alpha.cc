@@ -7,9 +7,9 @@
 // harness; --json emits schema-v2 BENCH_ablation_alpha.json.
 #include "cost/correlation_cost_model.h"
 #include "bench/bench_util.h"
-#include "ilp/branch_and_bound.h"
 #include "ilp/problem_builder.h"
 #include "mv/candidate_generator.h"
+#include "solver/solver.h"
 
 using namespace coradd;
 using namespace coradd::bench;
@@ -37,8 +37,9 @@ int main(int argc, char** argv) {
       BuiltProblem built = BuildSelectionProblem(
           f.workload, std::move(set.mvs), model, f.context->registry(),
           budget);
-      return std::make_pair(SolveSelectionExact(built.problem).expected_cost,
-                            built.specs.size());
+      return std::make_pair(
+          SolverEngine().Solve(built.problem).expected_cost,
+          built.specs.size());
     };
 
     if (pass.reporting) {

@@ -2,7 +2,7 @@
 // relative to OPT across budgets. The paper obtained OPT by brute-forcing
 // all 2^13-1 query groupings for a week on four servers; we brute-force all
 // groupings of a 6-query subworkload (flights 1 and 2), which is exact and
-// runs in minutes at our scale (substitution documented in DESIGN.md §2).
+// runs in minutes at our scale (see "Substitutions" in docs/ARCHITECTURE.md).
 //
 // Every budget cell (OPT solve + ILP solve + feedback run) is independent —
 // the sweep fans them out across the shared ThreadPool. Runs under the
@@ -69,9 +69,9 @@ int main(int argc, char** argv) {
     CandidateSet initial = generator.Generate(sub);
 
     // --- Sweep: one independent cell per budget, in parallel (the model's
-    // memo caches are mutex-guarded; everything else is read-only). The
-    // solver engine runs inline per cell — the budget grid itself is the
-    // parallel axis here, so nesting wave parallelism under it buys nothing.
+    // memo caches are mutex-guarded; everything else is read-only). Each
+    // cell's solves run their waves on the same shared pool, which handles
+    // the nesting; results are bit-identical at any thread count.
     const std::vector<uint64_t> budgets =
         BudgetGrid(f.fact_heap_bytes, {0.125, 0.25, 0.5, 1.0, 2.0, 4.0});
     struct Cell {
@@ -80,9 +80,7 @@ int main(int argc, char** argv) {
       double fb = 0.0;
     };
     std::vector<Cell> cells(budgets.size());
-    SolverOptions sopt;
-    sopt.parallel = false;
-    const SolverEngine engine(sopt);
+    const SolverEngine engine;
     WallTimer sweep_timer;
     ThreadPool::Shared().ParallelFor(budgets.size(), [&](size_t i) {
       const uint64_t budget = budgets[i];
@@ -100,7 +98,7 @@ int main(int argc, char** argv) {
           sub, generator, model, f.context->registry(),
           BuildSelectionProblem(sub, initial.mvs, model,
                                 f.context->registry(), budget),
-          budget, fopt, sopt);
+          budget, fopt);
       cells[i].fb = fb.result.expected_cost;
     });
     h.Sample("sweep_seconds", sweep_timer.Seconds());

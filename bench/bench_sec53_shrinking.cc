@@ -7,11 +7,11 @@
 
 #include "cost/correlation_cost_model.h"
 #include "bench/bench_util.h"
-#include "ilp/branch_and_bound.h"
 #include "ilp/domination.h"
 #include "ilp/ilp_problem.h"
 #include "ilp/problem_builder.h"
 #include "mv/candidate_generator.h"
+#include "solver/solver.h"
 
 using namespace coradd;
 using namespace coradd::bench;
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     const PaperIlpFormulation form = BuildPaperIlp(pruned);
 
     const auto t1 = std::chrono::steady_clock::now();
-    const SelectionResult r = SolveSelectionExact(pruned);
+    const SelectionResult r = SolverEngine().Solve(pruned);
     const double solve_secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t1)
             .count();

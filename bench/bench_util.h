@@ -120,7 +120,7 @@ inline std::vector<uint64_t> BudgetGrid(uint64_t fact_bytes,
   return out;
 }
 
-/// CORADD options tuned for bench turnaround (documented in EXPERIMENTS.md).
+/// CORADD options tuned for bench turnaround (documented in bench/README.md).
 inline CoraddOptions BenchCoraddOptions() {
   CoraddOptions options;
   options.candidates.grouping.alphas = {0.0, 0.25, 0.5};

@@ -9,8 +9,8 @@
 //   * TWO fact tables (actuals and budget); queries that touch both are
 //     modelled as independent queries per fact table, as the paper does;
 //   * 31 template queries with a frequency distribution.
-// The official APB-1 generator is proprietary-ish and Windows-era; this
-// substitution is documented in DESIGN.md §2.
+// The official APB-1 generator is proprietary-ish and Windows-era; see
+// "Substitutions" in docs/ARCHITECTURE.md.
 #pragma once
 
 #include <memory>

@@ -4,11 +4,11 @@
 #include <chrono>
 
 #include "cm/cm_designer.h"
-#include "ilp/branch_and_bound.h"
 #include "ilp/domination.h"
 #include "ilp/problem_builder.h"
 #include "mv/fk_clustering.h"
 #include "mv/index_merging.h"
+#include "solver/solver.h"
 
 namespace coradd {
 

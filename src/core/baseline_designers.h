@@ -2,13 +2,14 @@
 //
 // NaiveDesigner (§7.2, Experiment 2): correlation-aware cost model but no
 // query grouping or index merging — only fact re-clusterings and dedicated
-// per-query MVs, packed greedily ("picks as many candidates as possible").
+// per-query MVs, packed by the solver's density greedy ("picks as many
+// candidates as possible").
 //
 // CommercialDesigner: proxy for the commercial product — the same
 // state-of-the-art machinery ([1,5]: MV candidates per query group, dense
 // B+Tree secondary indexes, Greedy(m,k) selection) driven by the
-// correlation-OBLIVIOUS cost model of Fig 10. The substitution rationale is
-// documented in DESIGN.md §2.
+// correlation-OBLIVIOUS cost model of Fig 10. See "Substitutions" in
+// docs/ARCHITECTURE.md for the rationale.
 #pragma once
 
 #include <memory>

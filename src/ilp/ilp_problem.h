@@ -10,9 +10,11 @@
 // Only candidates feasible for a query enter its p_{q,r} ordering, which is
 // what keeps the formulation compact (§5.3's 2,080 variables / 2,240
 // constraints scale). BuildPaperIlp produces the LP relaxation for our
-// simplex solver; exact solutions come from branch_and_bound.h, which
-// solves the equivalent selection problem without any variable relaxation
-// (the paper's advantage over [16], §5.4).
+// simplex solver; exact solutions come from solver/solver.h, which solves
+// the equivalent selection problem without any variable relaxation (the
+// paper's advantage over [16], §5.4). The relaxation lower-bounds that
+// optimum and certifies it whenever every y comes out integral, which is
+// how the solver tests use it as an independent oracle.
 #pragma once
 
 #include "ilp/lp.h"

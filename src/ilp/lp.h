@@ -1,5 +1,5 @@
 // Dense two-phase primal simplex LP solver, built from scratch (the paper
-// uses a commercial LP solver; DESIGN.md §2 documents the substitution).
+// uses a commercial LP solver; see "Substitutions" in docs/ARCHITECTURE.md).
 //
 // Solves   min c^T x   s.t.   A x <= b,   0 <= x <= ub.
 // Upper bounds are handled by adding explicit rows (instances here are

@@ -20,12 +20,37 @@ using solver_internal::TaskResult;
 
 namespace {
 
+/// Frontier subtrees per wave: the wave's parallel width. Fixed, so the
+/// wave structure never depends on the thread count.
+constexpr size_t kTasksPerWave = 24;
+
 /// Auto node budget per task: keep a wave's work roughly constant across
 /// problem sizes so the time limit retains wave-boundary granularity.
 /// Purely a function of the pool size — never of thread count.
 uint64_t AutoNodesPerTask(size_t pool_size) {
   const uint64_t budget = (1ull << 21) / std::max<size_t>(64, pool_size);
   return std::clamp<uint64_t>(budget, 128, 8192);
+}
+
+/// Maps a compiled solution back to problem coordinates: forced plus chosen
+/// pool candidates, ascending, with cost, routing and bytes recomputed from
+/// the problem itself.
+SelectionResult AssembleResult(const SelectionProblem& problem,
+                               const CompiledProblem& cp,
+                               const CompiledSolution& solution) {
+  SelectionResult out;
+  out.chosen.assign(problem.forced.begin(), problem.forced.end());
+  for (int32_t pos : solution.includes) {
+    out.chosen.push_back(cp.pool[static_cast<size_t>(pos)]);
+  }
+  std::sort(out.chosen.begin(), out.chosen.end());
+  out.expected_cost = EvaluateSelection(problem, out.chosen,
+                                        &out.best_for_query);
+  out.used_bytes = 0;
+  for (int m : out.chosen) {
+    out.used_bytes += problem.sizes[static_cast<size_t>(m)];
+  }
+  return out;
 }
 
 }  // namespace
@@ -75,7 +100,6 @@ SelectionResult SolverEngine::Solve(const SelectionProblem& problem,
   const uint64_t nodes_per_task = options_.nodes_per_task > 0
                                       ? options_.nodes_per_task
                                       : AutoNodesPerTask(cp.pool.size());
-  const size_t tasks_per_wave = std::max<size_t>(1, options_.tasks_per_wave);
 
   // --- Incumbent seeding: density greedy, optionally challenged by the
   // caller's warm-start hint (mapped to pool positions, repaired).
@@ -100,13 +124,12 @@ SelectionResult SolverEngine::Solve(const SelectionProblem& problem,
   }
 
   // --- Deterministic wave search. `open` is a stack (back = next in DFS
-  // order); each wave consumes up to tasks_per_wave subtrees from the top.
+  // order); each wave consumes up to kTasksPerWave subtrees from the top.
   std::vector<NodeRef> open;
   open.push_back(NodeRef{});
   bool limit_hit = false;
-  ThreadPool* pool = options_.pool != nullptr ? options_.pool
-                     : options_.parallel      ? &ThreadPool::Shared()
-                                              : nullptr;
+  ThreadPool& pool =
+      options_.pool != nullptr ? *options_.pool : ThreadPool::Shared();
   std::vector<NodeRef> wave;
   std::vector<TaskResult> results;
   while (!open.empty()) {
@@ -123,7 +146,7 @@ SelectionResult SolverEngine::Solve(const SelectionProblem& problem,
       break;
     }
 
-    const size_t width = std::min(tasks_per_wave, open.size());
+    const size_t width = std::min(kTasksPerWave, open.size());
     wave.clear();
     for (size_t t = 0; t < width; ++t) {
       wave.push_back(std::move(open.back()));  // task 0 = deepest subtree
@@ -140,18 +163,17 @@ SelectionResult SolverEngine::Solve(const SelectionProblem& problem,
         std::max<uint64_t>(1, (remaining + width - 1) / width));
     auto run_task = [&](size_t t) {
       results[t] = solver_internal::RunSearchTask(
-          cp, std::move(wave[t]), wave_incumbent, task_budget,
-          options_.relative_gap);
+          cp, std::move(wave[t]), wave_incumbent, task_budget);
     };
     {
       TRACE_SPAN("solver.wave",
                  {{"wave", static_cast<int64_t>(local.waves)},
                   {"tasks", static_cast<int64_t>(width)},
                   {"open", static_cast<int64_t>(open.size())}});
-      if (pool != nullptr && width > 1) {
-        pool->ParallelFor(width, run_task);
+      if (width > 1) {
+        pool.ParallelFor(width, run_task);
       } else {
-        for (size_t t = 0; t < width; ++t) run_task(t);
+        run_task(0);
       }
     }
 
@@ -175,19 +197,7 @@ SelectionResult SolverEngine::Solve(const SelectionProblem& problem,
     local.tasks += width;
   }
 
-  // --- Result assembly in problem coordinates.
-  SelectionResult out;
-  out.chosen.assign(problem.forced.begin(), problem.forced.end());
-  for (int32_t pos : best.includes) {
-    out.chosen.push_back(cp.pool[static_cast<size_t>(pos)]);
-  }
-  std::sort(out.chosen.begin(), out.chosen.end());
-  out.expected_cost = EvaluateSelection(problem, out.chosen,
-                                        &out.best_for_query);
-  out.used_bytes = 0;
-  for (int m : out.chosen) {
-    out.used_bytes += problem.sizes[static_cast<size_t>(m)];
-  }
+  SelectionResult out = AssembleResult(problem, cp, best);
   out.nodes_explored = local.nodes_expanded;
   out.proved_optimal = !limit_hit;
 
@@ -229,6 +239,11 @@ SelectionResult SolverEngine::Solve(const SelectionProblem& problem,
 
   if (stats != nullptr) stats->Accumulate(local);
   return out;
+}
+
+SelectionResult SolveSelectionGreedyDensity(const SelectionProblem& problem) {
+  const CompiledProblem cp = solver_internal::CompileProblem(problem);
+  return AssembleResult(problem, cp, solver_internal::GreedyIncumbent(cp));
 }
 
 }  // namespace coradd

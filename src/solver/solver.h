@@ -1,6 +1,5 @@
 // The parallel warm-started branch-and-bound engine for the §5.1 selection
-// ILP — the successor of the serial search in ilp/branch_and_bound.cc
-// (which remains as the reference implementation for cross-checking).
+// ILP — the repo's one exact engine — and the density greedy that seeds it.
 //
 // The engine expands the search tree in deterministic *waves*: each wave
 // takes a fixed-size batch of frontier subtrees, runs a bounded depth-first
@@ -14,7 +13,9 @@
 // of a grid sweep, or the previous ILP-feedback iteration) is repaired
 // deterministically and seeds the incumbent, which makes near-identical
 // consecutive solves prune almost immediately. See solver/warm_start.h for
-// the cross-problem mapping and docs/SOLVER.md for the full contract.
+// the cross-problem mapping and docs/SOLVER.md for the full contract and
+// the independent oracles (brute force, the Table 3 LP) the tests check
+// the engine against.
 #pragma once
 
 #include <cstdint>
@@ -27,22 +28,21 @@ namespace coradd {
 
 class ThreadPool;
 
+/// Relative optimality gap: subtrees that cannot improve the incumbent by
+/// more than this fraction of its cost are pruned (with a 1e-9 absolute
+/// floor). CORADD plateaus hold thousands of designs within microseconds of
+/// simulated runtime of each other; proving the last 1e-6 is pure cost.
+/// CPLEX defaults to 1e-4.
+inline constexpr double kSolverRelativeGap = 1e-6;
+
 /// Engine knobs. The defaults suit post-domination CORADD instances; the
-/// wave shape (tasks_per_wave, nodes_per_task) trades incumbent freshness
-/// for parallel width but never affects the chosen design.
+/// per-task node budget trades incumbent freshness for parallel width but
+/// never affects the chosen design.
 struct SolverOptions {
   uint64_t max_nodes = 4000000;     ///< deterministic cap, wave granularity
   double time_limit_seconds = 120.0;  ///< safety valve; see docs/SOLVER.md
-  /// Relative optimality gap: subtrees that cannot improve the incumbent
-  /// by more than this fraction of its cost are pruned (plus a 1e-9
-  /// absolute floor, the legacy engine's tolerance). CORADD plateaus hold
-  /// thousands of designs within microseconds of simulated runtime of each
-  /// other; proving the last 1e-6 is pure cost. CPLEX defaults to 1e-4.
-  double relative_gap = 1e-6;
-  size_t tasks_per_wave = 24;       ///< frontier subtrees per wave
   uint64_t nodes_per_task = 0;      ///< node budget per task; 0 = auto
   ThreadPool* pool = nullptr;       ///< nullptr = ThreadPool::Shared()
-  bool parallel = true;             ///< false: run waves inline, no pool
 };
 
 /// Search statistics of one solve, accumulable across a feedback loop or a
@@ -84,5 +84,10 @@ class SolverEngine {
  private:
   SolverOptions options_;
 };
+
+/// Density greedy (benefit per byte, SOS1-aware): the incumbent every
+/// Solve() starts from, returned on its own. The Naive baseline's selector
+/// and the heuristic reference of bench_fig6. `proved_optimal` is false.
+SelectionResult SolveSelectionGreedyDensity(const SelectionProblem& problem);
 
 }  // namespace coradd

@@ -6,6 +6,7 @@
 
 #include "common/status.h"
 #include "cost/cost_model.h"
+#include "solver/solver.h"
 
 namespace coradd {
 namespace solver_internal {
@@ -13,11 +14,11 @@ namespace solver_internal {
 namespace {
 
 constexpr double kDeltaEps = 1e-12;  ///< below this a candidate is useless
-/// Subtrees that cannot beat the incumbent by more than this are pruned —
-/// the same tolerance the legacy serial engine uses. CORADD's plateaus are
-/// full of solutions within ~1e-10 of each other (candidates that fit the
-/// budget without changing any query's winner); exact pruning would walk
-/// them all.
+/// Absolute floor of the pruning slack: subtrees that cannot beat the
+/// incumbent by more than this are pruned even when the relative gap is
+/// smaller. CORADD's plateaus are full of solutions within ~1e-10 of each
+/// other (candidates that fit the budget without changing any query's
+/// winner); exact pruning would walk them all.
 constexpr double kPruneSlack = 1e-9;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -95,8 +96,7 @@ CompiledProblem CompileProblem(const SelectionProblem& p) {
   }
   std::vector<bool> forced(p.NumCandidates(), false);
   // A forced candidate claims its SOS1 group: siblings are inadmissible
-  // everywhere, so they never enter the pool (mirrors the legacy engine's
-  // root group_used_ seeding).
+  // everywhere, so they never enter the pool.
   std::vector<bool> group_claimed(p.sos1_groups.size(), false);
   for (int f : p.forced) {
     forced[static_cast<size_t>(f)] = true;
@@ -230,8 +230,7 @@ CompiledSolution ApplyWarmHint(const CompiledProblem& cp,
 }
 
 TaskResult RunSearchTask(const CompiledProblem& cp, NodeRef start,
-                         double incumbent_cost, uint64_t node_budget,
-                         double relative_gap) {
+                         double incumbent_cost, uint64_t node_budget) {
   TaskResult out;
   out.best.cost = kInf;
   Scratch s(cp);
@@ -329,7 +328,7 @@ TaskResult RunSearchTask(const CompiledProblem& cp, NodeRef start,
     // knapsack over marginal benefits (valid by submodularity).
     const double bar_ref = std::min(prune_ref, out.best.cost);
     const double prune_bar =
-        bar_ref - std::max(kPruneSlack, relative_gap * bar_ref);
+        bar_ref - std::max(kPruneSlack, kSolverRelativeGap * bar_ref);
     double potential = 0.0;
     for (size_t q = 0; q < cp.nq; ++q) potential += s.wcur[q] - s.wbest[q];
 

@@ -86,12 +86,11 @@ struct TaskResult {
 
 /// Expands at most `node_budget` nodes of the subtree under `start` in
 /// depth-first order, pruning against min(`incumbent_cost`, best found so
-/// far) minus the optimality-gap slack max(1e-9, relative_gap * that).
-/// Deterministic: depends only on the arguments, never on timing or
+/// far) minus the optimality-gap slack max(1e-9, kSolverRelativeGap *
+/// that). Deterministic: depends only on the arguments, never on timing or
 /// thread placement.
 TaskResult RunSearchTask(const CompiledProblem& cp, NodeRef start,
-                         double incumbent_cost, uint64_t node_budget,
-                         double relative_gap);
+                         double incumbent_cost, uint64_t node_budget);
 
 }  // namespace solver_internal
 }  // namespace coradd

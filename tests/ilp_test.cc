@@ -1,17 +1,18 @@
 // Tests for src/ilp: the two-phase simplex LP solver, selection-problem
-// semantics, exact branch-and-bound vs brute force, Greedy(m,k), and
-// dominated-candidate pruning (§5).
+// semantics, Greedy(m,k), dominated-candidate pruning (§5), and the Table 3
+// LP relaxation. Exact optima come from the solver engine (solver/solver.h);
+// solver_test checks that engine against brute force and the LP.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/rng.h"
 #include "cost/cost_model.h"
-#include "ilp/branch_and_bound.h"
 #include "ilp/domination.h"
 #include "ilp/greedy_mk.h"
 #include "ilp/ilp_problem.h"
 #include "ilp/lp.h"
+#include "solver/solver.h"
 
 namespace coradd {
 namespace {
@@ -139,11 +140,11 @@ TEST(SelectionTest, WeightsScaleCosts) {
   EXPECT_NEAR(EvaluateSelection(p, {0}), 30.0, 1e-12);
 }
 
-// ---------- Branch & bound ----------
+// ---------- Exact solves (solver engine) ----------
 
 TEST(BranchAndBoundTest, PicksPairOverSharedWhenBudgetAllows) {
   const SelectionProblem p = TinyProblem();
-  const SelectionResult r = SolveSelectionExact(p);
+  const SelectionResult r = SolverEngine().Solve(p);
   EXPECT_TRUE(r.proved_optimal);
   // {1,2} costs 2.0 total beats {3} at 4.0; both fit in 20.
   EXPECT_NEAR(r.expected_cost, 2.0, 1e-12);
@@ -153,7 +154,7 @@ TEST(BranchAndBoundTest, PicksPairOverSharedWhenBudgetAllows) {
 TEST(BranchAndBoundTest, TightBudgetPrefersShared) {
   SelectionProblem p = TinyProblem();
   p.budget_bytes = 15;  // only the shared MV fits
-  const SelectionResult r = SolveSelectionExact(p);
+  const SelectionResult r = SolverEngine().Solve(p);
   EXPECT_TRUE(r.proved_optimal);
   EXPECT_NEAR(r.expected_cost, 4.0, 1e-12);
   EXPECT_EQ(r.chosen, (std::vector<int>{0, 3}));
@@ -162,7 +163,7 @@ TEST(BranchAndBoundTest, TightBudgetPrefersShared) {
 TEST(BranchAndBoundTest, RespectsSos1) {
   SelectionProblem p = TinyProblem();
   p.sos1_groups = {{1, 2}};  // candidates 1 and 2 conflict
-  const SelectionResult r = SolveSelectionExact(p);
+  const SelectionResult r = SolverEngine().Solve(p);
   EXPECT_TRUE(r.proved_optimal);
   // Best feasible: {3} at 4.0 (1+2 would be 2.0 but conflicts; 1+3 = 3.0
   // costs 25 bytes > budget).
@@ -172,78 +173,10 @@ TEST(BranchAndBoundTest, RespectsSos1) {
 TEST(BranchAndBoundTest, ZeroBudgetKeepsBaseOnly) {
   SelectionProblem p = TinyProblem();
   p.budget_bytes = 0;
-  const SelectionResult r = SolveSelectionExact(p);
+  const SelectionResult r = SolverEngine().Solve(p);
   EXPECT_EQ(r.chosen, (std::vector<int>{0}));
   EXPECT_NEAR(r.expected_cost, 20.0, 1e-12);
 }
-
-/// Exhaustive reference solver.
-double BruteForce(const SelectionProblem& p) {
-  const size_t n = p.NumCandidates();
-  double best = kInfeasibleCost;
-  for (uint64_t mask = 0; mask < (1ull << n); ++mask) {
-    std::vector<int> chosen;
-    for (size_t m = 0; m < n; ++m) {
-      if (mask & (1ull << m)) chosen.push_back(static_cast<int>(m));
-    }
-    if (!SelectionFeasible(p, chosen)) continue;
-    best = std::min(best, EvaluateSelection(p, chosen));
-  }
-  return best;
-}
-
-struct RandomInstanceParam {
-  uint64_t seed;
-  size_t num_candidates;
-  size_t num_queries;
-  uint64_t budget;
-  bool with_sos1;
-};
-
-class BnbVsBruteForceTest
-    : public ::testing::TestWithParam<RandomInstanceParam> {};
-
-TEST_P(BnbVsBruteForceTest, MatchesExhaustiveOptimum) {
-  const auto param = GetParam();
-  Rng rng(param.seed);
-  SelectionProblem p;
-  p.budget_bytes = param.budget;
-  p.sizes.push_back(0);  // base
-  for (size_t m = 1; m < param.num_candidates; ++m) {
-    p.sizes.push_back(rng.Uniform(10) + 1);
-  }
-  p.forced = {0};
-  p.costs.resize(param.num_queries);
-  for (size_t q = 0; q < param.num_queries; ++q) {
-    p.costs[q].push_back(50.0 + static_cast<double>(rng.Uniform(50)));  // base
-    for (size_t m = 1; m < param.num_candidates; ++m) {
-      if (rng.Bernoulli(0.4)) {
-        p.costs[q].push_back(kInfeasibleCost);
-      } else {
-        p.costs[q].push_back(1.0 + static_cast<double>(rng.Uniform(40)));
-      }
-    }
-  }
-  if (param.with_sos1 && param.num_candidates >= 4) {
-    p.sos1_groups = {{1, 2, 3}};
-  }
-  const double brute = BruteForce(p);
-  const SelectionResult r = SolveSelectionExact(p);
-  EXPECT_TRUE(r.proved_optimal);
-  EXPECT_NEAR(r.expected_cost, brute, 1e-9) << "seed " << param.seed;
-  EXPECT_TRUE(SelectionFeasible(p, r.chosen));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    RandomInstances, BnbVsBruteForceTest,
-    ::testing::Values(RandomInstanceParam{1, 8, 3, 12, false},
-                      RandomInstanceParam{2, 10, 5, 20, false},
-                      RandomInstanceParam{3, 12, 4, 15, true},
-                      RandomInstanceParam{4, 14, 6, 25, true},
-                      RandomInstanceParam{5, 10, 8, 8, false},
-                      RandomInstanceParam{6, 12, 2, 40, true},
-                      RandomInstanceParam{7, 14, 5, 5, false},
-                      RandomInstanceParam{8, 16, 4, 30, true}));
 
 TEST(BranchAndBoundTest, GreedyNeverBeatsExact) {
   for (uint64_t seed = 100; seed < 110; ++seed) {
@@ -262,7 +195,7 @@ TEST(BranchAndBoundTest, GreedyNeverBeatsExact) {
                           : 1.0 + static_cast<double>(rng.Uniform(80)));
       }
     }
-    const SelectionResult exact = SolveSelectionExact(p);
+    const SelectionResult exact = SolverEngine().Solve(p);
     const SelectionResult greedy = SolveSelectionGreedyDensity(p);
     EXPECT_LE(exact.expected_cost, greedy.expected_cost + 1e-9);
     EXPECT_TRUE(exact.proved_optimal);
@@ -316,7 +249,7 @@ TEST(GreedyMkTest, NeverBetterThanExact) {
                           : 1.0 + static_cast<double>(rng.Uniform(50)));
       }
     }
-    const double exact = SolveSelectionExact(p).expected_cost;
+    const double exact = SolverEngine().Solve(p).expected_cost;
     const double greedy = SolveSelectionGreedyMk(p).expected_cost;
     EXPECT_LE(exact, greedy + 1e-9) << seed;
   }
@@ -378,9 +311,9 @@ TEST(DominationTest, PruningPreservesOptimum) {
                           : 1.0 + static_cast<double>(rng.Uniform(30)));
       }
     }
-    const double before = SolveSelectionExact(p).expected_cost;
+    const double before = SolverEngine().Solve(p).expected_cost;
     const SelectionProblem pruned = CompactProblem(p, DominatedMask(p));
-    const double after = SolveSelectionExact(pruned).expected_cost;
+    const double after = SolverEngine().Solve(pruned).expected_cost;
     EXPECT_NEAR(before, after, 1e-9) << seed;
   }
 }
@@ -440,7 +373,7 @@ TEST(PaperIlpTest, RelaxationLowerBoundsExact) {
     const PaperIlpFormulation form = BuildPaperIlp(p);
     const LpSolution relax = SolvePaperLpRelaxation(form);
     ASSERT_EQ(relax.status, LpStatus::kOptimal) << seed;
-    const double exact = SolveSelectionExact(p).expected_cost;
+    const double exact = SolverEngine().Solve(p).expected_cost;
     EXPECT_LE(relax.objective, exact + 1e-6) << seed;
     // The relaxation is itself bounded below by the all-chosen cost.
     std::vector<int> all;
@@ -454,7 +387,7 @@ TEST(PaperIlpTest, RelaxationMatchesExactWhenIntegral) {
   const SelectionProblem p = TinyProblem();
   const LpSolution relax = SolvePaperLpRelaxation(BuildPaperIlp(p));
   ASSERT_EQ(relax.status, LpStatus::kOptimal);
-  EXPECT_NEAR(relax.objective, SolveSelectionExact(p).expected_cost, 1e-6);
+  EXPECT_NEAR(relax.objective, SolverEngine().Solve(p).expected_cost, 1e-6);
 }
 
 }  // namespace

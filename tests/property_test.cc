@@ -7,10 +7,10 @@
 #include "core/context.h"
 #include "cost/correlation_cost_model.h"
 #include "cost/cost_model.h"
-#include "ilp/branch_and_bound.h"
 #include "ilp/domination.h"
 #include "ilp/greedy_mk.h"
 #include "mv/index_merging.h"
+#include "solver/solver.h"
 #include "ssb/ssb.h"
 #include "stats/histogram.h"
 #include "storage/layout.h"
@@ -173,7 +173,7 @@ TEST_P(SolverOrderingTest, ExactLeqGreedyMkAndDensityGreedy) {
   }
   if (nm > 5 && rng.Bernoulli(0.5)) p.sos1_groups = {{1, 2, 3}};
 
-  const SelectionResult exact = SolveSelectionExact(p);
+  const SelectionResult exact = SolverEngine().Solve(p);
   const SelectionResult mk = SolveSelectionGreedyMk(p);
   const SelectionResult density = SolveSelectionGreedyDensity(p);
   EXPECT_TRUE(exact.proved_optimal);
@@ -185,7 +185,7 @@ TEST_P(SolverOrderingTest, ExactLeqGreedyMkAndDensityGreedy) {
 
   // Domination pruning must not change the exact optimum.
   const SelectionProblem pruned = CompactProblem(p, DominatedMask(p));
-  EXPECT_NEAR(SolveSelectionExact(pruned).expected_cost, exact.expected_cost,
+  EXPECT_NEAR(SolverEngine().Solve(pruned).expected_cost, exact.expected_cost,
               1e-9);
 }
 

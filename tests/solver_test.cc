@@ -1,8 +1,11 @@
 // Tests for src/solver: the parallel warm-started branch-and-bound engine.
-// Planted-optimum knapsack instances, brute-force cross-checks, old-vs-new
-// engine agreement on fig6-style problems, bit-identical determinism at
-// 1/2/8 threads (including node-capped solves and warm starts), warm-start
-// session mapping, and incremental re-pricing equivalence.
+// Planted-optimum knapsack instances; two oracles that share no code with
+// the engine — brute force on every instance of at most 16 candidates, and
+// the paper's Table 3 LP relaxation (a lower bound that certifies the
+// optimum when integral) on fig6-style and SSB problems brute force cannot
+// reach; bit-identical determinism at 1/2/8 threads (including node-capped
+// solves and warm starts), warm-start session mapping, and incremental
+// re-pricing equivalence.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,7 +14,7 @@
 #include "common/thread_pool.h"
 #include "cost/correlation_cost_model.h"
 #include "cost/cost_model.h"
-#include "ilp/branch_and_bound.h"
+#include "ilp/ilp_problem.h"
 #include "ilp/problem_builder.h"
 #include "mv/candidate_generator.h"
 #include "solver/solver.h"
@@ -53,7 +56,8 @@ SelectionProblem Fig6Synthetic(size_t num_candidates, size_t num_queries,
   return p;
 }
 
-/// Small random instance in the style of ilp_test's brute-force suite.
+/// Small random instance: a forced base plus candidates of 1-10 bytes, each
+/// serving a query with probability 0.6; optional SOS1 group {1, 2, 3}.
 SelectionProblem RandomInstance(uint64_t seed, size_t num_candidates,
                                 size_t num_queries, uint64_t budget,
                                 bool with_sos1) {
@@ -82,7 +86,7 @@ SelectionProblem RandomInstance(uint64_t seed, size_t num_candidates,
   return p;
 }
 
-/// Exhaustive reference solver.
+/// Exhaustive reference solver: every subset of the candidates.
 double BruteForce(const SelectionProblem& p) {
   const size_t n = p.NumCandidates();
   double best = kInfeasibleCost;
@@ -95,6 +99,28 @@ double BruteForce(const SelectionProblem& p) {
     best = std::min(best, EvaluateSelection(p, chosen));
   }
   return best;
+}
+
+/// Checks an engine solve against the paper's Table 3 LP relaxation
+/// (BuildPaperIlp + SolvePaperLpRelaxation). The relaxation lower-bounds
+/// the optimum. When every y lies within 1e-6 of 0 or 1 the LP optimum is
+/// an integer design, hence the optimum, and the engine must reach it
+/// within its optimality gap. Sets *integral to whether that held.
+void CheckAgainstLpRelaxation(const SelectionProblem& p,
+                              const SelectionResult& r, bool* integral) {
+  const PaperIlpFormulation form = BuildPaperIlp(p);
+  const LpSolution lp = SolvePaperLpRelaxation(form);
+  ASSERT_EQ(lp.status, LpStatus::kOptimal);
+  EXPECT_LE(lp.objective, r.expected_cost + 1e-6);
+  *integral = true;
+  for (int m = 0; m < form.num_y; ++m) {
+    const double y = lp.x[static_cast<size_t>(m)];
+    if (std::abs(y) > 1e-6 && std::abs(y - 1.0) > 1e-6) *integral = false;
+  }
+  if (*integral) {
+    EXPECT_NEAR(r.expected_cost, lp.objective,
+                2.0 * kSolverRelativeGap * (1.0 + lp.objective));
+  }
 }
 
 // ---------- Planted optimum ----------
@@ -137,9 +163,8 @@ TEST(SolverEngineTest, FindsPlantedOptimum) {
 }
 
 TEST(SolverEngineTest, ForcedCandidateClaimsItsSos1Group) {
-  // A forced member of an SOS1 group excludes its siblings, exactly like
-  // the legacy engine's root group seeding — even when a sibling would be
-  // beneficial and fits the budget.
+  // A forced member of an SOS1 group excludes its siblings — even when a
+  // sibling would be beneficial and fits the budget.
   SelectionProblem p;
   p.sizes = {0, 10};
   p.forced = {0};
@@ -180,51 +205,67 @@ TEST(SolverEngineTest, PlantedSos1GroupKeepsOnlyBestRecluster) {
 // ---------- Brute force ----------
 
 TEST(SolverEngineTest, MatchesBruteForceOnRandomInstances) {
-  const SolverEngine engine;
+  struct Case {
+    uint64_t seed;
+    size_t candidates;
+    size_t queries;
+    uint64_t budget;
+    bool with_sos1;
+  };
+  std::vector<Case> cases;
   for (uint64_t seed = 1; seed <= 10; ++seed) {
-    const SelectionProblem p =
-        RandomInstance(seed, 10 + seed % 5, 3 + seed % 4, 8 + 3 * seed,
-                       seed % 2 == 0);
+    cases.push_back({seed, 10 + seed % 5, 3 + seed % 4, 8 + 3 * seed,
+                     seed % 2 == 0});
+  }
+  // 8 to 16 candidates under budgets from 5 to 40 bytes, half with SOS1.
+  cases.insert(cases.end(), {{1, 8, 3, 12, false},
+                             {2, 10, 5, 20, false},
+                             {3, 12, 4, 15, true},
+                             {4, 14, 6, 25, true},
+                             {5, 10, 8, 8, false},
+                             {6, 12, 2, 40, true},
+                             {7, 14, 5, 5, false},
+                             {8, 16, 4, 30, true}});
+  const SolverEngine engine;
+  for (const Case& c : cases) {
+    const SelectionProblem p = RandomInstance(c.seed, c.candidates, c.queries,
+                                              c.budget, c.with_sos1);
     const double brute = BruteForce(p);
     const SelectionResult r = engine.Solve(p);
-    EXPECT_TRUE(r.proved_optimal) << "seed " << seed;
-    EXPECT_NEAR(r.expected_cost, brute, 1e-9) << "seed " << seed;
-    EXPECT_TRUE(SelectionFeasible(p, r.chosen)) << "seed " << seed;
+    EXPECT_TRUE(r.proved_optimal) << "seed " << c.seed;
+    EXPECT_NEAR(r.expected_cost, brute, 1e-9) << "seed " << c.seed;
+    EXPECT_TRUE(SelectionFeasible(p, r.chosen)) << "seed " << c.seed;
   }
 }
 
-// ---------- Old vs new engine ----------
-
-TEST(SolverEngineTest, AgreesWithLegacyEngineOnFig6Instances) {
-  // Objective equality, not set equality: the fig6 instances have
-  // plateaus of equal-cost optima (candidates that fit the budget without
-  // changing any query's best cost), and the two engines tie-break
-  // plateaus differently. Bit-identity is guaranteed per engine across
-  // thread counts, which BitIdenticalAcrossThreadCounts covers.
-  const SolverEngine engine;
-  for (size_t n : {100ul, 200ul, 400ul}) {
-    const SelectionProblem p = Fig6Synthetic(n, 13, n);
-    const SelectionResult legacy = SolveSelectionExact(p);
-    const SelectionResult r = engine.Solve(p);
-    ASSERT_TRUE(legacy.proved_optimal) << n;
-    ASSERT_TRUE(r.proved_optimal) << n;
-    // Tolerance covers the engine's relative optimality gap.
-    EXPECT_NEAR(r.expected_cost, legacy.expected_cost,
-                2.0 * engine.options().relative_gap *
-                    (1.0 + legacy.expected_cost))
-        << n;
-  }
-}
-
-TEST(SolverEngineTest, AgreesWithLegacyEngineOnRandomInstances) {
+TEST(SolverEngineTest, MatchesBruteForceAtSixteenCandidates) {
   const SolverEngine engine;
   for (uint64_t seed = 40; seed < 52; ++seed) {
     const SelectionProblem p =
         RandomInstance(seed, 16, 6, 20 + seed, seed % 2 == 1);
-    const SelectionResult legacy = SolveSelectionExact(p);
     const SelectionResult r = engine.Solve(p);
-    EXPECT_NEAR(r.expected_cost, legacy.expected_cost, 1e-9) << seed;
+    EXPECT_NEAR(r.expected_cost, BruteForce(p), 1e-9) << seed;
   }
+}
+
+// ---------- Table 3 LP certificate ----------
+
+TEST(SolverEngineTest, LpRelaxationCertifiesFig6Optima) {
+  // Brute force cannot reach 100-400 candidates; the LP relaxation bounds
+  // every solve and pins the optimum wherever it comes out integral.
+  const SolverEngine engine;
+  int integral_instances = 0;
+  for (size_t n : {100ul, 200ul, 400ul}) {
+    SCOPED_TRACE(n);
+    const SelectionProblem p = Fig6Synthetic(n, 13, n);
+    const SelectionResult r = engine.Solve(p);
+    ASSERT_TRUE(r.proved_optimal);
+    bool integral = false;
+    ASSERT_NO_FATAL_FAILURE(CheckAgainstLpRelaxation(p, r, &integral));
+    integral_instances += integral ? 1 : 0;
+  }
+  // Otherwise the equality half of the certificate never ran.
+  EXPECT_GE(integral_instances, 1);
 }
 
 // ---------- Determinism across thread counts ----------
@@ -236,11 +277,11 @@ TEST(SolverEngineTest, BitIdenticalAcrossThreadCounts) {
   for (size_t n : {200ul, 400ul}) {
     const SelectionProblem p = Fig6Synthetic(n, 13, n + 3);
 
-    SolverOptions inline_opt;
-    inline_opt.parallel = false;
-    const SelectionResult reference = SolverEngine(inline_opt).Solve(p);
+    SolverOptions serial_opt;
+    serial_opt.pool = &pool1;
+    const SelectionResult reference = SolverEngine(serial_opt).Solve(p);
 
-    for (ThreadPool* pool : {&pool1, &pool2, &pool8}) {
+    for (ThreadPool* pool : {&pool2, &pool8}) {
       SolverOptions opt;
       opt.pool = pool;
       const SelectionResult r = SolverEngine(opt).Solve(p);
@@ -257,17 +298,18 @@ TEST(SolverEngineTest, BitIdenticalAcrossThreadCounts) {
 TEST(SolverEngineTest, NodeCappedSolvesStayDeterministic) {
   // A capped search returns an incumbent; the cap is enforced at wave
   // granularity, so the incumbent must still be thread-count invariant.
+  ThreadPool pool1(1);
   ThreadPool pool2(2);
   ThreadPool pool8(8);
   // Seed 100 at 100 candidates needs ~50k nodes to prove optimality, so a
   // 2k cap suspends the search mid-plateau.
   const SelectionProblem p = Fig6Synthetic(100, 13, 100);
 
-  SolverOptions inline_opt;
-  inline_opt.parallel = false;
-  inline_opt.max_nodes = 2000;
-  inline_opt.nodes_per_task = 256;
-  const SelectionResult reference = SolverEngine(inline_opt).Solve(p);
+  SolverOptions serial_opt;
+  serial_opt.pool = &pool1;
+  serial_opt.max_nodes = 2000;
+  serial_opt.nodes_per_task = 256;
+  const SelectionResult reference = SolverEngine(serial_opt).Solve(p);
   EXPECT_FALSE(reference.proved_optimal);
 
   for (ThreadPool* pool : {&pool2, &pool8}) {
@@ -284,6 +326,7 @@ TEST(SolverEngineTest, NodeCappedSolvesStayDeterministic) {
 }
 
 TEST(SolverEngineTest, WarmStartedSolvesStayDeterministic) {
+  ThreadPool pool1(1);
   ThreadPool pool2(2);
   ThreadPool pool8(8);
   const SelectionProblem p = Fig6Synthetic(300, 13, 7);
@@ -294,18 +337,17 @@ TEST(SolverEngineTest, WarmStartedSolvesStayDeterministic) {
   tight.budget_bytes = p.budget_bytes / 2;
   const SelectionResult tight_result = SolverEngine().Solve(tight);
 
-  SolverOptions inline_opt;
-  inline_opt.parallel = false;
+  SolverOptions serial_opt;
+  serial_opt.pool = &pool1;
   SolverStats ref_stats;
   const SelectionResult reference =
-      SolverEngine(inline_opt).Solve(p, &ref_stats, &tight_result.chosen);
+      SolverEngine(serial_opt).Solve(p, &ref_stats, &tight_result.chosen);
   EXPECT_EQ(ref_stats.warm_solves, 1u);
   // The optimum value never depends on the warm hint (modulo the
   // optimality gap); the chosen *set* may differ between warm and cold on
   // equal-cost plateaus.
   EXPECT_NEAR(reference.expected_cost, cold.expected_cost,
-              2.0 * SolverOptions{}.relative_gap *
-                  (1.0 + cold.expected_cost));
+              2.0 * kSolverRelativeGap * (1.0 + cold.expected_cost));
 
   for (ThreadPool* pool : {&pool2, &pool8}) {
     SolverOptions opt;
@@ -333,8 +375,7 @@ TEST(SolverEngineTest, WarmHintNeverChangesProvenOptimum) {
     const SelectionResult warm = engine.Solve(p, &stats, &hint);
     EXPECT_TRUE(warm.proved_optimal);
     EXPECT_NEAR(warm.expected_cost, cold.expected_cost,
-                2.0 * engine.options().relative_gap *
-                    (1.0 + cold.expected_cost))
+                2.0 * kSolverRelativeGap * (1.0 + cold.expected_cost))
         << seed;
     EXPECT_EQ(stats.warm_solves, 1u);
   }
@@ -438,22 +479,25 @@ TEST_F(SolverSsbTest, AppendMatchesFullRebuild) {
   }
 }
 
-TEST_F(SolverSsbTest, AgreesWithLegacyEngineOnSsbProblems) {
-  // The fig5 problem set: real SSB candidate pools across budgets. Both
-  // engines prove (gap-)optimality and must agree on the objective.
+TEST_F(SolverSsbTest, LpRelaxationCertifiesSsbOptima) {
+  // The fig5 problem set: real SSB candidate pools across budgets. The
+  // engine proves (gap-)optimality; the Table 3 LP bounds every solve and
+  // pins the optimum wherever it comes out integral.
   const SolverEngine engine;
+  int integral_instances = 0;
   for (uint64_t budget : {2ull << 20, 8ull << 20, 32ull << 20}) {
+    SCOPED_TRACE(budget);
     const BuiltProblem built = BuildSelectionProblem(
         *workload_, *candidates_, *model_, *registry_, budget);
-    const SelectionResult legacy = SolveSelectionExact(built.problem);
     const SelectionResult r = engine.Solve(built.problem);
-    ASSERT_TRUE(legacy.proved_optimal) << budget;
-    ASSERT_TRUE(r.proved_optimal) << budget;
-    EXPECT_NEAR(r.expected_cost, legacy.expected_cost,
-                2.0 * engine.options().relative_gap *
-                    (1.0 + legacy.expected_cost))
-        << budget;
+    ASSERT_TRUE(r.proved_optimal);
+    bool integral = false;
+    ASSERT_NO_FATAL_FAILURE(
+        CheckAgainstLpRelaxation(built.problem, r, &integral));
+    integral_instances += integral ? 1 : 0;
   }
+  // Otherwise the equality half of the certificate never ran.
+  EXPECT_GE(integral_instances, 1);
 }
 
 TEST_F(SolverSsbTest, WarmStartSessionMapsAcrossRebuiltProblems) {
@@ -482,8 +526,7 @@ TEST_F(SolverSsbTest, WarmStartSessionMapsAcrossRebuiltProblems) {
   ASSERT_TRUE(warm_result.proved_optimal);
   ASSERT_TRUE(cold_result.proved_optimal);
   EXPECT_NEAR(warm_result.expected_cost, cold_result.expected_cost,
-              2.0 * engine.options().relative_gap *
-                  (1.0 + cold_result.expected_cost));
+              2.0 * kSolverRelativeGap * (1.0 + cold_result.expected_cost));
   EXPECT_EQ(warm_stats.warm_solves, 1u);
 }
 
