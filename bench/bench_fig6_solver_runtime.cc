@@ -2,10 +2,10 @@
 // The paper's CPLEX solved its LP in minutes up to 20k candidates; we
 // report the parallel solver engine (solver/solver.h) on synthetic pools up
 // to 20k candidates, plus the dense-simplex LP relaxation at smaller sizes
-// (see "Substitutions" in docs/ARCHITECTURE.md). The engine's objectives
-// on these instances are checked against brute force and the LP in
-// solver_test, not here. Runs under the benchkit repetition harness;
-// --json emits schema-v2 BENCH_fig6_solver_runtime.json with SolverStats.
+// (see "Substitutions" in docs/ARCHITECTURE.md). solver_test checks the
+// engine's objectives on the 100-400 candidate instances against this LP,
+// not this bench. Runs under the benchkit repetition harness; --json
+// emits schema-v2 BENCH_fig6_solver_runtime.json with SolverStats.
 #include <chrono>
 
 #include "bench/bench_util.h"

@@ -1,7 +1,8 @@
 // Tests for src/ilp: the two-phase simplex LP solver, selection-problem
-// semantics, Greedy(m,k), dominated-candidate pruning (§5), and the Table 3
-// LP relaxation. Exact optima come from the solver engine (solver/solver.h);
-// solver_test checks that engine against brute force and the LP.
+// semantics, exact solves of hand-built instances, Greedy(m,k),
+// dominated-candidate pruning (§5), and the Table 3 LP relaxation. Exact
+// optima come from the solver engine (solver/solver.h); solver_test checks
+// that engine against brute force and the LP.
 #include <gtest/gtest.h>
 
 #include <cmath>
