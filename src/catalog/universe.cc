@@ -98,6 +98,30 @@ Schema Universe::MakeSchema(const std::vector<int>& ucols) const {
   return schema;
 }
 
+std::vector<int64_t> Universe::ColumnValues(int ucol) const {
+  const UniverseColumn& c = columns_[static_cast<size_t>(ucol)];
+  const auto& src = c.source->ColumnData(static_cast<size_t>(c.source_col));
+  if (c.fk_index < 0) return src;
+  const auto& dim_row = dim_row_of_fact_[static_cast<size_t>(c.fk_index)];
+  std::vector<int64_t> out(dim_row.size());
+  for (size_t r = 0; r < out.size(); ++r) out[r] = src[dim_row[r]];
+  return out;
+}
+
+void Universe::GatherColumn(int ucol, const std::vector<RowId>& rows,
+                            int64_t* out) const {
+  const UniverseColumn& c = columns_[static_cast<size_t>(ucol)];
+  const int64_t* src =
+      c.source->ColumnData(static_cast<size_t>(c.source_col)).data();
+  if (c.fk_index < 0) {
+    for (size_t i = 0; i < rows.size(); ++i) out[i] = src[rows[i]];
+    return;
+  }
+  const RowId* dim_row =
+      dim_row_of_fact_[static_cast<size_t>(c.fk_index)].data();
+  for (size_t i = 0; i < rows.size(); ++i) out[i] = src[dim_row[rows[i]]];
+}
+
 std::unique_ptr<Table> Universe::MaterializeProjection(
     const std::vector<int>& ucols, const std::string& table_name) const {
   auto out = std::make_unique<Table>(MakeSchema(ucols), table_name);

@@ -61,6 +61,14 @@ class Universe {
   /// Exact distinct count of the joint values of `ucols` over the join.
   size_t DistinctCountComposite(const std::vector<int>& ucols) const;
 
+  /// Column `ucol` of every fact row, in fact-row order.
+  std::vector<int64_t> ColumnValues(int ucol) const;
+
+  /// out[i] = Value(rows[i], ucol) for every i < rows.size(): one column
+  /// gathered in the order `rows` lists fact rows.
+  void GatherColumn(int ucol, const std::vector<RowId>& rows,
+                    int64_t* out) const;
+
   /// Materializes the projection of the given universe columns as a Table,
   /// in fact-row order. Column names and byte sizes are preserved.
   std::unique_ptr<Table> MaterializeProjection(

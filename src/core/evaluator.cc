@@ -152,12 +152,12 @@ std::vector<WorkloadRunResult> DesignEvaluator::RunChunk(
     if (slots[i].mat == nullptr) missing.push_back(i);
   }
   const auto materialize = [&](size_t mi) {
-    TRACE_SPAN("core.materialize");
     Slot& s = slots[missing[mi]];
     const Universe* universe =
         context_->UniverseForFact(s.dobj->spec.fact_table);
     CORADD_CHECK(universe != nullptr);
-    Materializer materializer(universe, context_->stats_options().disk);
+    Materializer materializer(universe, context_->stats_options().disk,
+                              pool);
     s.mat = materializer.Materialize(s.dobj->spec, s.dobj->cms,
                                      s.dobj->btree_columns);
   };
@@ -172,7 +172,9 @@ std::vector<WorkloadRunResult> DesignEvaluator::RunChunk(
   } else {
     for (size_t mi = 0; mi < missing.size(); ++mi) materialize(mi);
   }
+  // Capacity 0 caches nothing: the slots alone pin objects for this call.
   for (size_t i : missing) {
+    if (cache_capacity_ == 0) break;
     while (cache_.size() >= cache_capacity_) {
       cache_.erase(cache_order_.front());
       cache_order_.pop_front();

@@ -54,6 +54,7 @@ struct EvalJob {
 
 /// Materializes design objects (with caching across budgets — identical
 /// objects recur as the budget grid sweeps) and executes workloads.
+/// `cache_capacity` = 0 keeps objects only for the call and caches none.
 class DesignEvaluator {
  public:
   explicit DesignEvaluator(const DesignContext* context,

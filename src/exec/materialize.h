@@ -4,6 +4,16 @@
 // attributes the object does not store — dimension attributes of a
 // re-clustered fact table — can still be evaluated through cached
 // dimension lookups, matching the paper's disk-bound fact-access model).
+//
+// An object is built in one pass. The clustered-key columns are gathered
+// once from the Universe and the fact-row ids are sorted once, so row
+// order is the stable order by clustered key: ties keep fact-row order.
+// Each stored column is then written straight into the object's Table in
+// that order, and provenance lives only in `fact_row_of` (no hidden
+// column). Key gathers, column gathers and CM/B+Tree builds each run as a
+// ParallelFor on the caller's pool, nested under whatever per-object loop
+// the caller runs; every index writes only its own column or index, so an
+// object is bit-identical at any thread count.
 #pragma once
 
 #include <memory>
@@ -11,6 +21,7 @@
 #include <vector>
 
 #include "cm/cm_designer.h"
+#include "common/thread_pool.h"
 #include "cost/mv_spec.h"
 #include "storage/clustered_table.h"
 #include "storage/column_batch.h"
@@ -23,7 +34,7 @@ struct MaterializedObject {
   MvSpec spec;
   const Universe* universe = nullptr;
   std::unique_ptr<ClusteredTable> table;
-  /// table row -> fact row (provenance through the sort).
+  /// table row -> fact row (the clustered order the rows were written in).
   std::vector<RowId> fact_row_of;
   /// Correlation maps (CORADD designs).
   std::vector<std::unique_ptr<CorrelationMap>> cms;
@@ -87,10 +98,14 @@ void GatherBatch(const MaterializedObject& obj, const RowId* rids, size_t n,
 /// Builds MaterializedObjects for one universe.
 class Materializer {
  public:
-  Materializer(const Universe* universe, DiskParams disk);
+  /// `pool` runs the build's parallel loops (nullptr = the shared pool),
+  /// passed the way ExecOptions::pool is.
+  Materializer(const Universe* universe, DiskParams disk,
+               ThreadPool* pool = nullptr);
 
   /// Materializes `spec`, building the given CMs and secondary B+Trees.
-  /// B+Tree columns must be stored in the object; CM key columns may be any
+  /// `spec.columns` must be non-empty and hold the clustered key. B+Tree
+  /// columns must be stored in the object; CM key columns may be any
   /// universe column (built through provenance).
   std::unique_ptr<MaterializedObject> Materialize(
       const MvSpec& spec, const std::vector<CmSpec>& cm_specs = {},
@@ -99,6 +114,7 @@ class Materializer {
  private:
   const Universe* universe_;
   DiskParams disk_;
+  ThreadPool* pool_;
 };
 
 }  // namespace coradd

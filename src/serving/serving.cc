@@ -102,7 +102,8 @@ ServingEngine::ServingEngine(const DesignContext* context,
     const DesignedObject& dobj = *slot_dobj[i];
     const Universe* universe = context_->UniverseForFact(dobj.spec.fact_table);
     CORADD_CHECK(universe != nullptr);
-    Materializer materializer(universe, context_->stats_options().disk);
+    Materializer materializer(universe, context_->stats_options().disk,
+                              pool_);
     slots_[i] = materializer.Materialize(dobj.spec, dobj.cms,
                                          dobj.btree_columns);
   };

@@ -13,7 +13,7 @@ ClusteredTable::ClusteredTable(std::unique_ptr<Table> table,
     CORADD_CHECK(c >= 0 &&
                  static_cast<size_t>(c) < table_->schema().NumColumns());
   }
-  if (!key_cols_.empty()) table_->SortByColumns(key_cols_);
+  if (!InKeyOrder()) table_->SortByColumns(key_cols_);
 
   layout_.num_rows = table_->NumRows();
   layout_.row_width_bytes = table_->schema().RowWidthBytes();
@@ -30,6 +30,20 @@ ClusteredTable::ClusteredTable(std::unique_ptr<Table> table,
   // Count the heap itself as the leaf level: height includes leaf pages plus
   // the sparse index levels above them.
   btree_.leaf_pages = 0;  // heap pages are charged via layout_.
+}
+
+bool ClusteredTable::InKeyOrder() const {
+  const size_t n = table_->NumRows();
+  for (RowId r = 1; r < n; ++r) {
+    for (int c : key_cols_) {
+      const auto& col = table_->ColumnData(static_cast<size_t>(c));
+      if (col[r - 1] != col[r]) {
+        if (col[r - 1] > col[r]) return false;
+        break;
+      }
+    }
+  }
+  return true;
 }
 
 int ClusteredTable::CompareKeyPrefix(RowId r,

@@ -27,7 +27,8 @@ struct RowRange {
 class ClusteredTable {
  public:
   /// Takes ownership of `table`, sorts it by `key_cols` (indices into the
-  /// table's schema), and computes layout/B+Tree shapes.
+  /// table's schema) unless one linear pass finds it already in key order,
+  /// and computes layout/B+Tree shapes.
   ClusteredTable(std::unique_ptr<Table> table, std::vector<int> key_cols,
                  uint32_t page_size_bytes = 8192);
 
@@ -75,6 +76,9 @@ class ClusteredTable {
   std::string ToString() const;
 
  private:
+  /// True iff every row's key is >= the previous row's (lexicographic).
+  bool InKeyOrder() const;
+
   /// Lexicographic compare of row `r`'s key prefix against `vals`, returning
   /// <0, 0, >0. Only the first vals.size() key columns are compared.
   int CompareKeyPrefix(RowId r, const std::vector<int64_t>& vals) const;

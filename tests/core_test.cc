@@ -172,30 +172,39 @@ TEST_F(CoreTest, RunManyMatchesSerialRunsAtAnyThreadCount) {
   const WorkloadRunResult want2 =
       serial_eval.Run(d2, *workload_, designer.model());
 
-  for (size_t threads : {2u, 8u}) {
-    ThreadPool pool(threads);
-    ExecOptions eo;
-    eo.pool = &pool;
-    DesignEvaluator evaluator(context_, /*cache_capacity=*/24, eo);
-    const std::vector<WorkloadRunResult> got = evaluator.RunMany(
-        {EvalJob{&d1, workload_, &designer.model()},
-         EvalJob{&d2, workload_, &designer.model()}});
-    ASSERT_EQ(got.size(), 2u);
-    for (size_t j = 0; j < 2; ++j) {
-      const WorkloadRunResult& want = j == 0 ? want1 : want2;
-      EXPECT_EQ(got[j].total_seconds, want.total_seconds) << threads;
-      EXPECT_EQ(got[j].expected_seconds, want.expected_seconds);
-      ASSERT_EQ(got[j].per_query.size(), want.per_query.size());
-      for (size_t qi = 0; qi < want.per_query.size(); ++qi) {
-        EXPECT_EQ(got[j].per_query[qi].aggregate,
-                  want.per_query[qi].aggregate);
-        EXPECT_EQ(got[j].per_query[qi].real_seconds,
-                  want.per_query[qi].real_seconds);
-        EXPECT_EQ(got[j].per_query[qi].rows_output,
-                  want.per_query[qi].rows_output);
-        EXPECT_EQ(got[j].per_query[qi].object_name,
-                  want.per_query[qi].object_name);
+  // Capacity 0 caches nothing: each chunk pins only its own objects.
+  for (size_t capacity : {size_t{24}, size_t{0}}) {
+    for (size_t threads : {2u, 8u}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads, capacity "
+                                      << capacity);
+      ThreadPool pool(threads);
+      ExecOptions eo;
+      eo.pool = &pool;
+      DesignEvaluator evaluator(context_, capacity, eo);
+      const std::vector<WorkloadRunResult> got = evaluator.RunMany(
+          {EvalJob{&d1, workload_, &designer.model()},
+           EvalJob{&d2, workload_, &designer.model()}});
+      ASSERT_EQ(got.size(), 2u);
+      for (size_t j = 0; j < 2; ++j) {
+        const WorkloadRunResult& want = j == 0 ? want1 : want2;
+        EXPECT_EQ(got[j].total_seconds, want.total_seconds);
+        EXPECT_EQ(got[j].expected_seconds, want.expected_seconds);
+        ASSERT_EQ(got[j].per_query.size(), want.per_query.size());
+        for (size_t qi = 0; qi < want.per_query.size(); ++qi) {
+          EXPECT_EQ(got[j].per_query[qi].aggregate,
+                    want.per_query[qi].aggregate);
+          EXPECT_EQ(got[j].per_query[qi].real_seconds,
+                    want.per_query[qi].real_seconds);
+          EXPECT_EQ(got[j].per_query[qi].rows_output,
+                    want.per_query[qi].rows_output);
+          EXPECT_EQ(got[j].per_query[qi].object_name,
+                    want.per_query[qi].object_name);
+        }
       }
+      // A one-design Run is one chunk of its own.
+      const WorkloadRunResult one = evaluator.Run(d1, *workload_,
+                                                  designer.model());
+      EXPECT_EQ(one.total_seconds, want1.total_seconds);
     }
   }
 }

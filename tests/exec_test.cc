@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <functional>
+#include <limits>
 
+#include "common/rng.h"
+#include "common/string_util.h"
 #include "cost/correlation_cost_model.h"
 #include "exec/executor.h"
 #include "exec/maintenance.h"
@@ -171,6 +175,231 @@ TEST_F(ExecTest, MaterializeBuildsCmsAndBtrees) {
   EXPECT_GT(obj->btree_bytes, 0u);
   // d_year co-occurs with one year's orderdates: compact CM.
   EXPECT_LT(obj->cms[0]->NumPairs(), 4000u);
+}
+
+// ---------- One-pass build against the project-then-sort reference ----------
+
+/// An object built from pieces in src/ the one-pass build does not use:
+/// project in fact-row order, sort stably by the clustered key (the
+/// permutation is the provenance), then build CMs and B+Trees on the
+/// sorted table.
+struct ReferenceObject {
+  std::unique_ptr<ClusteredTable> table;
+  std::vector<RowId> fact_row_of;
+  std::vector<std::unique_ptr<CorrelationMap>> cms;
+  uint64_t size_bytes = 0;
+  uint64_t cm_bytes = 0;
+  uint64_t btree_bytes = 0;
+};
+
+ReferenceObject BuildReference(const Universe& u, const MvSpec& spec,
+                               const std::vector<CmSpec>& cm_specs,
+                               const std::vector<std::string>& btree_columns,
+                               DiskParams disk) {
+  std::vector<int> ucols;
+  for (const auto& c : spec.columns) ucols.push_back(u.ColumnIndex(c));
+  std::unique_ptr<Table> t = u.MaterializeProjection(ucols, spec.name);
+  std::vector<int> key_cols;
+  for (const auto& k : spec.clustered_key) {
+    key_cols.push_back(t->schema().ColumnIndex(k));
+  }
+  ReferenceObject ref;
+  ref.fact_row_of = t->SortByColumns(key_cols);
+  ref.table = std::make_unique<ClusteredTable>(std::move(t), key_cols,
+                                               disk.page_size_bytes);
+  const Table& sorted = ref.table->table();
+  if (spec.is_fact_recluster && !spec.is_base) {
+    uint32_t pk_bytes = 0;
+    for (const auto& pk : u.fact_info().primary_key) {
+      pk_bytes += u.Column(static_cast<size_t>(u.ColumnIndex(pk))).byte_size;
+    }
+    ref.size_bytes = ComputeBTreeShape(sorted.NumRows(), pk_bytes + 8,
+                                       pk_bytes, disk.page_size_bytes)
+                         .TotalPages() *
+                     disk.page_size_bytes;
+  } else if (!spec.is_base) {
+    ref.size_bytes = ref.table->SizeBytes();
+  }
+  for (const CmSpec& cm : cm_specs) {
+    std::vector<std::vector<int64_t>> values;
+    std::vector<uint32_t> widths;
+    for (const auto& key : cm.key_columns) {
+      const int ucol = u.ColumnIndex(key);
+      widths.push_back(u.Column(static_cast<size_t>(ucol)).byte_size);
+      std::vector<int64_t> v(sorted.NumRows());
+      for (RowId r = 0; r < sorted.NumRows(); ++r) {
+        v[r] = u.Value(ref.fact_row_of[r], ucol);
+      }
+      values.push_back(std::move(v));
+    }
+    std::vector<const std::vector<int64_t>*> ptrs;
+    for (const auto& v : values) ptrs.push_back(&v);
+    ref.cms.push_back(std::make_unique<CorrelationMap>(
+        cm.key_columns, ptrs, widths, *ref.table, cm.bucketing));
+    ref.cm_bytes += ref.cms.back()->SizeBytes();
+  }
+  for (const auto& col : btree_columns) {
+    ref.btree_bytes +=
+        SecondaryBTreeIndex(ref.table.get(), sorted.schema().ColumnIndex(col))
+            .SizeBytes();
+  }
+  return ref;
+}
+
+/// Asserts `got` equals the reference object: every stored column row by
+/// row, provenance, the three byte counts, and each CM's shape and lookups
+/// under an all-pass, a point and a range predicate.
+void ExpectMatchesReference(const MaterializedObject& got,
+                            const ReferenceObject& want) {
+  const Table& g = got.table->table();
+  const Table& w = want.table->table();
+  ASSERT_EQ(g.NumColumns(), w.NumColumns());
+  ASSERT_EQ(g.NumRows(), w.NumRows());
+  for (size_t c = 0; c < w.NumColumns(); ++c) {
+    EXPECT_EQ(g.schema().Column(c).name, w.schema().Column(c).name);
+    EXPECT_TRUE(g.ColumnData(c) == w.ColumnData(c))
+        << "column " << w.schema().Column(c).name;
+  }
+  EXPECT_TRUE(got.fact_row_of == want.fact_row_of);
+  EXPECT_EQ(got.size_bytes, want.size_bytes);
+  EXPECT_EQ(got.cm_bytes, want.cm_bytes);
+  EXPECT_EQ(got.btree_bytes, want.btree_bytes);
+  ASSERT_EQ(got.cms.size(), want.cms.size());
+  const RowId probe = static_cast<RowId>(w.NumRows() / 3);
+  for (size_t i = 0; i < want.cms.size(); ++i) {
+    const CorrelationMap& gcm = *got.cms[i];
+    const CorrelationMap& wcm = *want.cms[i];
+    EXPECT_EQ(gcm.NumPairs(), wcm.NumPairs());
+    EXPECT_EQ(gcm.NumKeyEntries(), wcm.NumKeyEntries());
+    const size_t nk = wcm.key_columns().size();
+    std::vector<std::function<bool(int64_t, int64_t)>> all(
+        nk, [](int64_t, int64_t) { return true; });
+    std::vector<std::function<bool(int64_t, int64_t)>> point;
+    std::vector<std::function<bool(int64_t, int64_t)>> range = all;
+    for (size_t k = 0; k < nk; ++k) {
+      const int64_t v = got.universe->Value(
+          want.fact_row_of[probe],
+          got.universe->ColumnIndex(wcm.key_columns()[k]));
+      point.push_back(
+          [v](int64_t lo, int64_t hi) { return lo <= v && v <= hi; });
+      if (k == 0) range[0] = [v](int64_t lo, int64_t) { return lo <= v; };
+    }
+    for (const auto* m : {&all, &point, &range}) {
+      EXPECT_EQ(gcm.LookupBuckets(*m), wcm.LookupBuckets(*m))
+          << "cm " << i << " predicate " << (m == &all ? "all"
+                                             : m == &point ? "point"
+                                                           : "range");
+    }
+  }
+}
+
+TEST_F(ExecTest, MaterializeMatchesProjectThenSortReference) {
+  struct Input {
+    MvSpec spec;
+    std::vector<CmSpec> cms;
+    std::vector<std::string> btrees;
+  };
+  std::vector<Input> inputs;
+  // The base re-clustering: the fact table is already in key order.
+  inputs.push_back({BaseSpec(), {}, {}});
+  // A 3-column key over small domains: ~30 rows share each key.
+  {
+    MvSpec mv;
+    mv.name = "mv_ties";
+    mv.fact_table = "lineorder";
+    mv.columns = {"lo_revenue", "d_year", "lo_discount", "lo_quantity",
+                  "lo_extendedprice"};
+    mv.clustered_key = {"d_year", "lo_discount", "lo_quantity"};
+    CmSpec cm;
+    cm.key_columns = {"lo_extendedprice"};
+    cm.bucketing = {1000, 4};
+    inputs.push_back({mv, {cm}, {"lo_revenue"}});
+  }
+  // A re-clustering with CMs on provenance-only columns, plus a B+Tree.
+  {
+    MvSpec re = BaseSpec();
+    re.is_base = false;
+    re.name = "re_od";
+    re.clustered_key = {"lo_orderdate"};
+    CmSpec month;
+    month.key_columns = {"d_yearmonthnum"};
+    CmSpec regions;
+    regions.key_columns = {"c_region", "s_region"};
+    regions.bucketing = {1, 2};
+    inputs.push_back({re, {month, regions}, {"lo_discount"}});
+  }
+  // No clustered key: rows stay in fact-row order.
+  {
+    MvSpec heap;
+    heap.name = "heap";
+    heap.fact_table = "lineorder";
+    heap.columns = {"lo_revenue", "d_year"};
+    CmSpec cm;
+    cm.key_columns = {"d_year"};
+    inputs.push_back({heap, {cm}, {}});
+  }
+
+  std::vector<ReferenceObject> want;
+  for (const Input& in : inputs) {
+    want.push_back(
+        BuildReference(*universe_, in.spec, in.cms, in.btrees, Disk()));
+  }
+
+  // A synthetic fact whose keys are wider than 64 bits: k_wide spans the
+  // whole int64 range (64 bits) and k_neg ~2^41, so each key below packs
+  // only a prefix and the rest is sorted run by run.
+  Catalog wide_catalog;
+  {
+    auto fact = std::make_unique<Table>(
+        Schema({ColumnDef{"w_id", ValueType::kInt, 4, {}},
+                ColumnDef{"k_wide", ValueType::kInt, 8, {}},
+                ColumnDef{"k_neg", ValueType::kInt, 8, {}},
+                ColumnDef{"k_small", ValueType::kInt, 4, {}},
+                ColumnDef{"w_val", ValueType::kInt, 4, {}}}),
+        "wide");
+    const int64_t wide_values[] = {std::numeric_limits<int64_t>::min(), -1,
+                                   0, 5, std::numeric_limits<int64_t>::max()};
+    Rng rng(15);
+    for (int64_t i = 0; i < 3000; ++i) {
+      fact->AppendRow({i, wide_values[rng.Uniform(5)],
+                       (static_cast<int64_t>(rng.Uniform(20)) - 10) *
+                           100'000'000'007LL,
+                       static_cast<int64_t>(rng.Uniform(4)),
+                       static_cast<int64_t>(rng.Uniform(1000))});
+    }
+    wide_catalog.AddTable(std::move(fact));
+    FactTableInfo info;
+    info.name = "wide";
+    info.primary_key = {"w_id"};
+    wide_catalog.RegisterFactTable(info);
+  }
+  const Universe wide(wide_catalog, *wide_catalog.GetFactInfo("wide"));
+  for (const std::vector<std::string>& key :
+       {std::vector<std::string>{"k_wide", "k_neg", "k_small"},
+        std::vector<std::string>{"k_neg", "k_small", "k_wide"}}) {
+    MvSpec mv;
+    mv.name = "wide_mv";
+    mv.fact_table = "wide";
+    mv.columns = {"w_val", "k_small", "k_neg", "k_wide"};
+    mv.clustered_key = key;
+    CmSpec cm;
+    cm.key_columns = {"w_val"};
+    inputs.push_back({mv, {cm}, {"k_neg"}});
+    want.push_back(BuildReference(wide, mv, {cm}, {"k_neg"}, Disk()));
+  }
+
+  for (size_t threads : {1u, 2u, 8u}) {
+    ThreadPool pool(threads);
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      const bool is_wide = inputs[i].spec.fact_table == "wide";
+      Materializer mat(is_wide ? &wide : universe_, Disk(), &pool);
+      SCOPED_TRACE(inputs[i].spec.name + " at " + std::to_string(threads) +
+                   " threads, key " + Join(inputs[i].spec.clustered_key, ","));
+      const auto got =
+          mat.Materialize(inputs[i].spec, inputs[i].cms, inputs[i].btrees);
+      ExpectMatchesReference(*got, want[i]);
+    }
+  }
 }
 
 // ---------- Executor correctness across plans ----------
