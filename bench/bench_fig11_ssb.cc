@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     CoraddDesigner coradd(f.context.get(), BenchCoraddOptions());
     NaiveDesigner naive(f.context.get());
     CommercialDesigner commercial(f.context.get());
-    DesignEvaluator evaluator(f.context.get(), /*cache_capacity=*/64);
+    DesignEvaluator evaluator(f.context.get(), /*max_resident=*/64);
 
     const std::vector<uint64_t> budgets =
         BudgetGrid(f.fact_heap_bytes, {0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0});

@@ -6,6 +6,7 @@
 //   $ ./examples/budget_sweep
 //   $ ./examples/budget_sweep --trace=sweep_trace.json   # Perfetto file
 #include <cstdio>
+#include <vector>
 
 #include "common/string_util.h"
 #include "core/baseline_designers.h"
@@ -33,22 +34,34 @@ int main(int argc, char** argv) {
   CoraddDesigner coradd(&context, copt);
   NaiveDesigner naive(&context);
   CommercialDesigner commercial(&context);
-  DesignEvaluator evaluator(&context, 48);
+  DesignEvaluator evaluator(&context, /*max_resident=*/48);
+
+  // Design every budget first, then evaluate the whole grid in one RunMany
+  // so objects that recur across budgets and designers are built once.
+  const std::vector<double> budgets_mb = {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0};
+  std::vector<DatabaseDesign> designs;
+  std::vector<EvalJob> jobs;
+  designs.reserve(3 * budgets_mb.size());
+  for (double mb : budgets_mb) {
+    const uint64_t budget = static_cast<uint64_t>(mb * (1 << 20));
+    designs.push_back(coradd.Design(workload, budget));
+    jobs.push_back(EvalJob{&designs.back(), &workload, &coradd.model()});
+    designs.push_back(naive.Design(workload, budget));
+    jobs.push_back(EvalJob{&designs.back(), &workload, &naive.model()});
+    designs.push_back(commercial.Design(workload, budget));
+    jobs.push_back(EvalJob{&designs.back(), &workload, &commercial.model()});
+  }
+  const std::vector<WorkloadRunResult> runs = evaluator.RunMany(jobs);
 
   std::printf("%12s %12s %12s %12s %10s\n", "budget", "CORADD", "Naive",
               "Commercial", "objects");
-  for (double mb : {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0}) {
-    const uint64_t budget = static_cast<uint64_t>(mb * (1 << 20));
-    const DatabaseDesign dc = coradd.Design(workload, budget);
-    const DatabaseDesign dn = naive.Design(workload, budget);
-    const DatabaseDesign dm = commercial.Design(workload, budget);
-    const double tc = evaluator.Run(dc, workload, coradd.model()).total_seconds;
-    const double tn = evaluator.Run(dn, workload, naive.model()).total_seconds;
-    const double tm =
-        evaluator.Run(dm, workload, commercial.model()).total_seconds;
-    std::printf("%12s %12s %12s %12s %10zu\n", HumanBytes(budget).c_str(),
-                HumanSeconds(tc).c_str(), HumanSeconds(tn).c_str(),
-                HumanSeconds(tm).c_str(), dc.objects.size());
+  for (size_t b = 0; b < budgets_mb.size(); ++b) {
+    std::printf("%12s %12s %12s %12s %10zu\n",
+                HumanBytes(designs[3 * b].budget_bytes).c_str(),
+                HumanSeconds(runs[3 * b].total_seconds).c_str(),
+                HumanSeconds(runs[3 * b + 1].total_seconds).c_str(),
+                HumanSeconds(runs[3 * b + 2].total_seconds).c_str(),
+                designs[3 * b].objects.size());
   }
   std::printf("\nReading the curve: the budget where CORADD's runtime "
               "flattens is the\npoint past which extra space buys little — "

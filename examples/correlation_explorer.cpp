@@ -1,9 +1,9 @@
 // Correlation explorer: discover soft functional dependencies in a star
 // schema the way CORADD's statistics layer does — strengths from distinct
-// counts (AE over a synopsis), Gibbons distinct sampling, the dependency
-// miner's FD/AFD discoveries side by side with the seeded estimates, and
-// what those correlations buy: compact correlation maps instead of dense
-// B+Trees (the A-1 People(city,state) example, on real SSB data).
+// counts (AE over a synopsis), the dependency miner's FD/AFD discoveries
+// side by side with the seeded estimates, and what those correlations
+// buy: compact correlation maps instead of dense B+Trees (the A-1
+// People(city,state) example, on real SSB data).
 //
 //   $ ./examples/correlation_explorer
 //   $ ./examples/correlation_explorer --trace=explorer_trace.json
@@ -16,7 +16,6 @@
 #include "exec/materialize.h"
 #include "obs/trace.h"
 #include "ssb/ssb.h"
-#include "stats/distinct_sampler.h"
 
 using namespace coradd;
 
@@ -31,20 +30,7 @@ int main(int argc, char** argv) {
   sopt.disk.seek_seconds = 0.0055 / 8.0;
   UniverseStats stats(&universe, sopt);
 
-  // --- 1. Distinct sampling (Gibbons) vs exact counts.
-  std::printf("Distinct-value estimation (Gibbons sampler, capacity 256):\n");
-  for (const char* col : {"lo_orderdate", "c_city", "p_brand1", "d_year"}) {
-    const int ucol = universe.ColumnIndex(col);
-    DistinctSampler sampler(256);
-    for (RowId r = 0; r < universe.NumRows(); ++r) {
-      sampler.Add(universe.Value(r, ucol));
-    }
-    std::printf("  %-14s exact=%-8zu estimated=%-10.0f level=%d\n", col,
-                universe.DistinctCount(ucol), sampler.EstimateDistinct(),
-                sampler.level());
-  }
-
-  // --- 2. Correlation strengths (the CORDS measure CORADD uses), with the
+  // --- 1. Correlation strengths (the CORDS measure CORADD uses), with the
   //        dependency miner's verdict on the same pairs next to the seeded
   //        synopsis estimates.
   const DiscoveredDependencies mined = DependencyMiner().Mine(
@@ -54,7 +40,7 @@ int main(int argc, char** argv) {
     const char* from;
     const char* to;
   };
-  std::printf("\nCorrelation strengths  strength(A->B) = |A| / |A,B|:\n");
+  std::printf("Correlation strengths  strength(A->B) = |A| / |A,B|:\n");
   std::printf("  %-16s    %-16s %8s %8s  %s\n", "A", "B", "seeded", "mined",
               "mined verdict");
   for (const Pair p : {Pair{"c_city", "c_nation"},
@@ -79,13 +65,13 @@ int main(int argc, char** argv) {
                 std::max(ms, 0.0), verdict);
   }
 
-  // --- 2b. The full discovered dependency list (what the designer would
+  // --- 1b. The full discovered dependency list (what the designer would
   //         consume via DesignContext::MineDependencies).
   std::printf("\n%s", mined.ToString(/*max_fds=*/24).c_str());
   std::printf("  (plus %zu near-key columns excluded as LHS)\n",
               mined.near_key_columns().size());
 
-  // --- 3. What correlations buy: CM vs dense B+Tree on the fact table
+  // --- 2. What correlations buy: CM vs dense B+Tree on the fact table
   //        clustered by orderdate (correlated with date attributes).
   MvSpec spec;
   spec.name = "lineorder_by_orderdate";

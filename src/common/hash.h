@@ -8,7 +8,7 @@
 namespace coradd {
 
 /// 64-bit finalizer from MurmurHash3. Good avalanche behaviour; used to hash
-/// integer values for Gibbons' distinct sampling level assignment.
+/// integer keys (open-addressing probes, hash combining).
 inline uint64_t HashU64(uint64_t x) {
   x ^= x >> 33;
   x *= 0xff51afd7ed558ccdULL;

@@ -1,7 +1,7 @@
 #include "core/evaluator.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -24,11 +24,64 @@ std::string ObjectSignature(const DesignedObject& obj) {
   return s;
 }
 
+std::vector<const DesignedObject*> RouteObjects(
+    const std::vector<EvalJob>& jobs,
+    std::vector<std::vector<size_t>>* object_of) {
+  // Signatures are built once per (job, routed object), not per query.
+  std::vector<const DesignedObject*> objects;
+  std::unordered_map<std::string, size_t> index_of_sig;
+  object_of->assign(jobs.size(), {});
+  for (size_t j = 0; j < jobs.size(); ++j) {
+    const EvalJob& job = jobs[j];
+    CORADD_CHECK(job.design != nullptr && job.workload != nullptr);
+    const DatabaseDesign& design = *job.design;
+    const size_t nq = job.workload->queries.size();
+    CORADD_CHECK(design.object_for_query.size() >= nq);
+    std::vector<std::string> sig_of_obj(design.objects.size());
+    (*object_of)[j].resize(nq);
+    for (size_t qi = 0; qi < nq; ++qi) {
+      const int oi = design.object_for_query[qi];
+      CORADD_CHECK(oi >= 0 && static_cast<size_t>(oi) < design.objects.size());
+      const DesignedObject& dobj = design.objects[static_cast<size_t>(oi)];
+      std::string& sig = sig_of_obj[static_cast<size_t>(oi)];
+      if (sig.empty()) sig = ObjectSignature(dobj);
+      auto [it, inserted] = index_of_sig.emplace(sig, objects.size());
+      if (inserted) objects.push_back(&dobj);
+      (*object_of)[j][qi] = it->second;
+    }
+  }
+  return objects;
+}
+
+std::vector<std::unique_ptr<MaterializedObject>> MaterializeObjects(
+    const DesignContext& context,
+    const std::vector<const DesignedObject*>& objects, ThreadPool* pool) {
+  // Each build is deterministic and reads only shared read-only state
+  // (universe + stats), so the builds run concurrently.
+  static obs::Counter& materializations =
+      *obs::MetricsRegistry::Global().GetCounter("core.materializations");
+  materializations.Add(objects.size());
+  std::vector<std::unique_ptr<MaterializedObject>> out(objects.size());
+  const auto materialize = [&](size_t i) {
+    const DesignedObject& dobj = *objects[i];
+    const Universe* universe = context.UniverseForFact(dobj.spec.fact_table);
+    CORADD_CHECK(universe != nullptr);
+    Materializer materializer(universe, context.stats_options().disk, pool);
+    out[i] = materializer.Materialize(dobj.spec, dobj.cms, dobj.btree_columns);
+  };
+  if (objects.size() > 1 && pool->num_threads() > 1) {
+    pool->ParallelFor(objects.size(), materialize);
+  } else {
+    for (size_t i = 0; i < objects.size(); ++i) materialize(i);
+  }
+  return out;
+}
+
 DesignEvaluator::DesignEvaluator(const DesignContext* context,
-                                 size_t cache_capacity,
+                                 size_t max_resident,
                                  ExecOptions exec_options)
     : context_(context),
-      cache_capacity_(cache_capacity),
+      max_resident_(std::max<size_t>(max_resident, 1)),
       exec_options_(exec_options) {
   CORADD_CHECK(context != nullptr);
 }
@@ -47,186 +100,77 @@ std::vector<WorkloadRunResult> DesignEvaluator::RunMany(
   static obs::Counter& jobs_run =
       *obs::MetricsRegistry::Global().GetCounter("core.eval_jobs");
   jobs_run.Add(jobs.size());
-  // Chunk the sweep so at most ~cache_capacity_ distinct objects are
-  // pinned at once — the memory bound the serial per-job path had.
-  // Signatures are built once per (job, routed object), not per query.
-  std::vector<std::vector<std::string>> job_sigs(jobs.size());
-  for (size_t j = 0; j < jobs.size(); ++j) {
-    CORADD_CHECK(jobs[j].design != nullptr && jobs[j].workload != nullptr);
-    const DatabaseDesign& design = *jobs[j].design;
-    std::vector<char> routed(design.objects.size(), 0);
-    for (size_t qi = 0; qi < jobs[j].workload->queries.size(); ++qi) {
-      const int oi = design.object_for_query[qi];
-      CORADD_CHECK(oi >= 0 &&
-                   static_cast<size_t>(oi) < design.objects.size());
-      routed[static_cast<size_t>(oi)] = 1;
-    }
-    for (size_t oi = 0; oi < design.objects.size(); ++oi) {
-      if (routed[oi]) {
-        job_sigs[j].push_back(ObjectSignature(design.objects[oi]));
-      }
-    }
-  }
+  std::vector<std::vector<size_t>> object_of;
+  const std::vector<const DesignedObject*> objects =
+      RouteObjects(jobs, &object_of);
 
-  std::vector<WorkloadRunResult> out;
-  out.reserve(jobs.size());
-  const size_t cap = std::max<size_t>(cache_capacity_, 1);
-  std::unordered_set<std::string> chunk_sigs;
-  std::vector<EvalJob> chunk;
-  const auto flush = [&] {
-    if (chunk.empty()) return;
-    for (auto& r : RunChunk(chunk)) out.push_back(std::move(r));
-    chunk.clear();
-    chunk_sigs.clear();
-  };
-  for (size_t j = 0; j < jobs.size(); ++j) {
-    size_t added = 0;
-    for (const auto& s : job_sigs[j]) {
-      if (!chunk_sigs.count(s)) ++added;
-    }
-    if (!chunk.empty() && chunk_sigs.size() + added > cap) flush();
-    chunk.push_back(jobs[j]);
-    for (auto& s : job_sigs[j]) chunk_sigs.insert(std::move(s));
-  }
-  flush();
-  return out;
-}
-
-std::vector<WorkloadRunResult> DesignEvaluator::RunChunk(
-    const std::vector<EvalJob>& jobs) {
-  // --- Resolve the object each (job, query) pair routes to. Distinct
-  // objects (by structural signature) get one slot, in deterministic
-  // first-appearance order; the slot's shared_ptr pins the object for the
-  // whole run, so cache eviction can never pull it out from under a task.
-  struct Slot {
-    const DesignedObject* dobj = nullptr;
-    std::string sig;
-    std::shared_ptr<MaterializedObject> mat;
-  };
-  std::vector<Slot> slots;
-  std::unordered_map<std::string, size_t> slot_of_sig;
-  std::vector<std::vector<size_t>> slot_of(jobs.size());
-
-  for (size_t j = 0; j < jobs.size(); ++j) {
-    const EvalJob& job = jobs[j];
-    CORADD_CHECK(job.design != nullptr && job.workload != nullptr &&
-                 job.planner != nullptr);
-    const size_t nq = job.workload->queries.size();
-    // One signature per routed object of this job, built on first use.
-    std::vector<std::string> sig_of_obj(job.design->objects.size());
-    slot_of[j].resize(nq);
-    for (size_t qi = 0; qi < nq; ++qi) {
-      const int oi = job.design->object_for_query[qi];
-      CORADD_CHECK(oi >= 0 &&
-                   static_cast<size_t>(oi) < job.design->objects.size());
-      const DesignedObject& dobj =
-          job.design->objects[static_cast<size_t>(oi)];
-      std::string& sig = sig_of_obj[static_cast<size_t>(oi)];
-      if (sig.empty()) sig = ObjectSignature(dobj);
-      auto [it, inserted] = slot_of_sig.emplace(sig, slots.size());
-      if (inserted) {
-        Slot s;
-        s.dobj = &dobj;
-        s.sig = sig;
-        auto cit = cache_.find(sig);
-        if (cit != cache_.end()) {
-          s.mat = cit->second;
-          ++cache_hits_;
-        }
-        slots.push_back(std::move(s));
-      } else {
-        // Would have been a cache hit in the serial per-query order too.
-        ++cache_hits_;
-      }
-      slot_of[j][qi] = it->second;
-    }
-  }
-
-  ThreadPool* pool = exec_options_.pool != nullptr ? exec_options_.pool
-                                                   : &ThreadPool::Shared();
-
-  // --- Materialize missing objects, concurrently (each is deterministic
-  // and touches only shared read-only state: universe + stats).
-  std::vector<size_t> missing;
-  for (size_t i = 0; i < slots.size(); ++i) {
-    if (slots[i].mat == nullptr) missing.push_back(i);
-  }
-  const auto materialize = [&](size_t mi) {
-    Slot& s = slots[missing[mi]];
-    const Universe* universe =
-        context_->UniverseForFact(s.dobj->spec.fact_table);
-    CORADD_CHECK(universe != nullptr);
-    Materializer materializer(universe, context_->stats_options().disk,
-                              pool);
-    s.mat = materializer.Materialize(s.dobj->spec, s.dobj->cms,
-                                     s.dobj->btree_columns);
-  };
-  static obs::Counter& materializations =
-      *obs::MetricsRegistry::Global().GetCounter("core.materializations");
-  static obs::Counter& eval_cache_hits =
-      *obs::MetricsRegistry::Global().GetCounter("core.eval_cache_hits");
-  materializations.Add(missing.size());
-  eval_cache_hits.Add(slots.size() - missing.size());
-  if (missing.size() > 1 && pool->num_threads() > 1) {
-    pool->ParallelFor(missing.size(), materialize);
-  } else {
-    for (size_t mi = 0; mi < missing.size(); ++mi) materialize(mi);
-  }
-  // Capacity 0 caches nothing: the slots alone pin objects for this call.
-  for (size_t i : missing) {
-    if (cache_capacity_ == 0) break;
-    while (cache_.size() >= cache_capacity_) {
-      cache_.erase(cache_order_.front());
-      cache_order_.pop_front();
-    }
-    cache_[slots[i].sig] = slots[i].mat;
-    cache_order_.push_back(slots[i].sig);
-  }
-
-  // --- Execute every (job, query) pair across the pool. Per-task DiskModel
-  // keeps I/O accounting identical to the serial loop (cold per query, §7);
-  // records land in preassigned slots, so scheduling never reorders them.
+  // Every (job, query) pair, grouped by object; (job, query) order within.
   struct TaskRef {
     uint32_t job = 0;
     uint32_t qi = 0;
+    size_t object = 0;
   };
   std::vector<TaskRef> tasks;
   std::vector<WorkloadRunResult> out(jobs.size());
   for (size_t j = 0; j < jobs.size(); ++j) {
-    out[j].per_query.resize(jobs[j].workload->queries.size());
-    for (size_t qi = 0; qi < jobs[j].workload->queries.size(); ++qi) {
+    CORADD_CHECK(jobs[j].planner != nullptr);
+    out[j].per_query.resize(object_of[j].size());
+    for (size_t qi = 0; qi < object_of[j].size(); ++qi) {
       tasks.push_back(TaskRef{static_cast<uint32_t>(j),
-                              static_cast<uint32_t>(qi)});
+                              static_cast<uint32_t>(qi), object_of[j][qi]});
     }
   }
-  const auto run_task = [&](size_t t) {
-    const EvalJob& job = jobs[tasks[t].job];
-    const size_t qi = tasks[t].qi;
-    const Query& q = job.workload->queries[qi];
-    const DesignedObject& dobj =
-        job.design
-            ->objects[static_cast<size_t>(job.design->object_for_query[qi])];
-    const MaterializedObject* mat =
-        slots[slot_of[tasks[t].job][qi]].mat.get();
+  std::stable_sort(tasks.begin(), tasks.end(),
+                   [](const TaskRef& a, const TaskRef& b) {
+                     return a.object < b.object;
+                   });
 
-    QueryExecutor executor(&context_->registry(), job.planner, exec_options_);
-    DiskModel disk(context_->stats_options().disk);  // cold per query (§7)
-    const QueryRunResult run = executor.Run(q, *mat, &disk);
+  ThreadPool* pool = exec_options_.pool != nullptr ? exec_options_.pool
+                                                   : &ThreadPool::Shared();
+  // Walk the objects in runs of max_resident_: build the run, execute every
+  // pair routed to it, drop it. Per-task DiskModel keeps I/O accounting
+  // identical to the serial loop (cold per query, §7); records land in
+  // preassigned slots, so neither runs nor scheduling reorder them.
+  size_t t_begin = 0;
+  for (size_t first = 0; first < objects.size(); first += max_resident_) {
+    const size_t last = std::min(objects.size(), first + max_resident_);
+    const std::vector<const DesignedObject*> resident(
+        objects.begin() + first, objects.begin() + last);
+    const std::vector<std::unique_ptr<MaterializedObject>> mats =
+        MaterializeObjects(*context_, resident, pool);
+    size_t t_end = t_begin;
+    while (t_end < tasks.size() && tasks[t_end].object < last) ++t_end;
+    const auto run_task = [&](size_t t) {
+      const TaskRef& task = tasks[t_begin + t];
+      const EvalJob& job = jobs[task.job];
+      const Query& q = job.workload->queries[task.qi];
+      const DesignedObject& dobj =
+          job.design->objects[static_cast<size_t>(
+              job.design->object_for_query[task.qi])];
 
-    QueryRunRecord& rec = out[tasks[t].job].per_query[qi];
-    rec.query_id = q.id;
-    rec.object_name = dobj.spec.name;
-    rec.real_seconds = run.seconds;
-    rec.expected_seconds = job.planner->Seconds(q, dobj.spec);
-    rec.aggregate = run.aggregate;
-    rec.rows_output = run.rows_output;
-    rec.fragments = run.fragments;
-    rec.path = run.path;
-  };
-  if (tasks.size() > 1 && pool->num_threads() > 1) {
-    pool->ParallelFor(tasks.size(), run_task);
-  } else {
-    for (size_t t = 0; t < tasks.size(); ++t) run_task(t);
+      QueryExecutor executor(&context_->registry(), job.planner,
+                             exec_options_);
+      DiskModel disk(context_->stats_options().disk);  // cold per query (§7)
+      const QueryRunResult run =
+          executor.Run(q, *mats[task.object - first], &disk);
+
+      QueryRunRecord& rec = out[task.job].per_query[task.qi];
+      rec.query_id = q.id;
+      rec.object_name = dobj.spec.name;
+      rec.real_seconds = run.seconds;
+      rec.expected_seconds = job.planner->Seconds(q, dobj.spec);
+      rec.aggregate = run.aggregate;
+      rec.rows_output = run.rows_output;
+      rec.fragments = run.fragments;
+      rec.path = run.path;
+    };
+    const size_t n = t_end - t_begin;
+    if (n > 1 && pool->num_threads() > 1) {
+      pool->ParallelFor(n, run_task);
+    } else {
+      for (size_t t = 0; t < n; ++t) run_task(t);
+    }
+    t_begin = t_end;
   }
 
   // --- Reduce in fixed (job, query) order.

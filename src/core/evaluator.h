@@ -5,18 +5,20 @@
 // curves of Figures 9 and 11 — plus per-query aggregates that must agree
 // across designs (a built-in correctness check).
 //
-// Evaluation is parallel end-to-end: RunMany() takes a whole sweep of
-// (design, workload, planner) jobs — the per-budget/per-designer loops of
-// the figure benches — materializes the distinct objects concurrently, then
-// fans every (job, query) pair out over the shared ThreadPool. Each task
-// keeps its own DiskModel, so simulated seconds and page counts are exactly
-// the serial numbers, and reductions run in fixed (job, query) order.
+// Evaluation is object-major: RunMany() takes a whole sweep of (design,
+// workload, planner) jobs — the per-budget/per-designer loops of the figure
+// benches — routes every (job, query) pair to its structurally distinct
+// object once, then walks those objects in runs of at most `max_resident`:
+// build the run concurrently, fan every pair routed to it out over the
+// ThreadPool, drop it. Each task keeps its own DiskModel, so simulated
+// seconds and page counts are exactly the serial numbers, and reductions
+// run in fixed (job, query) order. RouteObjects and MaterializeObjects are
+// the same route-and-build path the serving engine uses.
 #pragma once
 
-#include <list>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "core/context.h"
 #include "core/design.h"
@@ -52,13 +54,30 @@ struct EvalJob {
   const CostModel* planner = nullptr;
 };
 
-/// Materializes design objects (with caching across budgets — identical
-/// objects recur as the budget grid sweeps) and executes workloads.
-/// `cache_capacity` = 0 keeps objects only for the call and caches none.
+/// Resolves the object every (job, query) pair runs on. Returns the
+/// distinct routed objects (by ObjectSignature) in first-appearance
+/// (job, query) order; `(*object_of)[j][qi]` is the index in that list of
+/// the object job j routes query qi to. Aborts on a null design or
+/// workload, a routing vector shorter than the workload, or an index
+/// outside the design's objects.
+std::vector<const DesignedObject*> RouteObjects(
+    const std::vector<EvalJob>& jobs,
+    std::vector<std::vector<size_t>>* object_of);
+
+/// Builds `objects` concurrently on `pool` (each build also runs its own
+/// parallel loops there). Out[i] is the materialization of objects[i].
+std::vector<std::unique_ptr<MaterializedObject>> MaterializeObjects(
+    const DesignContext& context,
+    const std::vector<const DesignedObject*>& objects, ThreadPool* pool);
+
+/// Materializes design objects and executes workloads on them. At most
+/// `max_resident` objects (0 is read as 1) are materialized at once, and
+/// each distinct object of a RunMany call is built exactly once; nothing
+/// is kept across calls.
 class DesignEvaluator {
  public:
   explicit DesignEvaluator(const DesignContext* context,
-                           size_t cache_capacity = 24,
+                           size_t max_resident = 24,
                            ExecOptions exec_options = {});
 
   /// Runs every workload query on its routed object. `planner` doubles as
@@ -69,24 +88,15 @@ class DesignEvaluator {
 
   /// Evaluates every job, fanning all (job, query) pairs across the pool.
   /// Results are identical to calling Run() per job in order (same objects,
-  /// same DiskModel accounting, same reduction order) at any thread count.
-  /// Jobs are processed in chunks whose distinct materialized objects fit
-  /// cache_capacity, so a wide sweep never pins more objects than the
-  /// serial path would cache (a single job may still exceed it).
+  /// same DiskModel accounting, same reduction order) at any thread count
+  /// and any `max_resident`. Pass a whole sweep in one call: objects shared
+  /// by several jobs are then built once.
   std::vector<WorkloadRunResult> RunMany(const std::vector<EvalJob>& jobs);
 
-  uint64_t cache_hits() const { return cache_hits_; }
-
  private:
-  /// RunMany for one chunk: pins every distinct object of `jobs` for the
-  /// duration of the call.
-  std::vector<WorkloadRunResult> RunChunk(const std::vector<EvalJob>& jobs);
   const DesignContext* context_;
-  size_t cache_capacity_;
+  size_t max_resident_;
   ExecOptions exec_options_;
-  std::unordered_map<std::string, std::shared_ptr<MaterializedObject>> cache_;
-  std::list<std::string> cache_order_;
-  uint64_t cache_hits_ = 0;
 };
 
 }  // namespace coradd

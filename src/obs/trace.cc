@@ -105,18 +105,20 @@ namespace {
 /// leaves *out unspecified) when the slot was overwritten or mid-write.
 bool ReadSlot(const Tracer::ThreadBuffer::Slot& s, uint64_t push,
               TraceEvent* out) {
+  // Acquire field loads pair with the writer's release field stores: a
+  // field read from a newer write makes that write's odd seq store visible
+  // to the final check, and no field load moves below it.
   const uint64_t want = 2 * push + 2;
   if (s.seq.load(std::memory_order_acquire) != want) return false;
-  out->name = s.name.load(std::memory_order_relaxed);
-  out->ts_ns = s.ts_ns.load(std::memory_order_relaxed);
-  out->dur_ns = s.dur_ns.load(std::memory_order_relaxed);
-  out->num_args = std::min(s.num_args.load(std::memory_order_relaxed),
+  out->name = s.name.load(std::memory_order_acquire);
+  out->ts_ns = s.ts_ns.load(std::memory_order_acquire);
+  out->dur_ns = s.dur_ns.load(std::memory_order_acquire);
+  out->num_args = std::min(s.num_args.load(std::memory_order_acquire),
                            TraceEvent::kMaxArgs);
   for (uint32_t a = 0; a < out->num_args; ++a) {
-    out->arg_keys[a] = s.arg_keys[a].load(std::memory_order_relaxed);
-    out->arg_vals[a] = s.arg_vals[a].load(std::memory_order_relaxed);
+    out->arg_keys[a] = s.arg_keys[a].load(std::memory_order_acquire);
+    out->arg_vals[a] = s.arg_vals[a].load(std::memory_order_acquire);
   }
-  std::atomic_thread_fence(std::memory_order_acquire);
   return s.seq.load(std::memory_order_relaxed) == want;
 }
 
@@ -214,15 +216,16 @@ void Tracer::Record(const TraceEvent& event) {
   // slot this store sequence is racing with.
   const uint64_t h = b.head.load(std::memory_order_relaxed);
   ThreadBuffer::Slot& s = b.events[h % kThreadBufferCapacity];
+  // Release field stores keep the odd seq store ahead of every field a
+  // reader can observe (no standalone fences: TSan cannot model them).
   s.seq.store(2 * h + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  s.name.store(event.name, std::memory_order_relaxed);
-  s.ts_ns.store(event.ts_ns, std::memory_order_relaxed);
-  s.dur_ns.store(event.dur_ns, std::memory_order_relaxed);
-  s.num_args.store(event.num_args, std::memory_order_relaxed);
+  s.name.store(event.name, std::memory_order_release);
+  s.ts_ns.store(event.ts_ns, std::memory_order_release);
+  s.dur_ns.store(event.dur_ns, std::memory_order_release);
+  s.num_args.store(event.num_args, std::memory_order_release);
   for (uint32_t a = 0; a < event.num_args; ++a) {
-    s.arg_keys[a].store(event.arg_keys[a], std::memory_order_relaxed);
-    s.arg_vals[a].store(event.arg_vals[a], std::memory_order_relaxed);
+    s.arg_keys[a].store(event.arg_keys[a], std::memory_order_release);
+    s.arg_vals[a].store(event.arg_vals[a], std::memory_order_release);
   }
   s.seq.store(2 * h + 2, std::memory_order_release);
   b.head.store(h + 1, std::memory_order_release);

@@ -5,7 +5,7 @@
 #include <unordered_set>
 #include <utility>
 
-#include "exec/materialize.h"
+#include "core/evaluator.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -80,38 +80,13 @@ ServingEngine::ServingEngine(const DesignContext* context,
   TRACE_SPAN("serving.materialize_design");
 
   // One slot per structurally distinct routed object, in first-appearance
-  // order (deterministic), materialized concurrently.
-  const size_t nq = workload_->queries.size();
-  CORADD_CHECK(design_->object_for_query.size() >= nq);
-  std::unordered_map<std::string, size_t> slot_of_sig;
-  std::vector<const DesignedObject*> slot_dobj;
-  slot_of_query_.resize(nq);
-  for (size_t qi = 0; qi < nq; ++qi) {
-    const int oi = design_->object_for_query[qi];
-    CORADD_CHECK(oi >= 0 &&
-                 static_cast<size_t>(oi) < design_->objects.size());
-    const DesignedObject& dobj =
-        design_->objects[static_cast<size_t>(oi)];
-    const std::string sig = ObjectSignature(dobj);
-    auto [it, inserted] = slot_of_sig.emplace(sig, slot_dobj.size());
-    if (inserted) slot_dobj.push_back(&dobj);
-    slot_of_query_[qi] = it->second;
-  }
-  slots_.resize(slot_dobj.size());
-  const auto materialize = [&](size_t i) {
-    const DesignedObject& dobj = *slot_dobj[i];
-    const Universe* universe = context_->UniverseForFact(dobj.spec.fact_table);
-    CORADD_CHECK(universe != nullptr);
-    Materializer materializer(universe, context_->stats_options().disk,
-                              pool_);
-    slots_[i] = materializer.Materialize(dobj.spec, dobj.cms,
-                                         dobj.btree_columns);
-  };
-  if (slots_.size() > 1 && pool_->num_threads() > 1) {
-    pool_->ParallelFor(slots_.size(), materialize);
-  } else {
-    for (size_t i = 0; i < slots_.size(); ++i) materialize(i);
-  }
+  // order (deterministic), materialized concurrently — the evaluator's
+  // route-and-build path.
+  std::vector<std::vector<size_t>> slot_of;
+  const std::vector<const DesignedObject*> objects =
+      RouteObjects({EvalJob{design_, workload_, planner_}}, &slot_of);
+  slot_of_query_ = std::move(slot_of[0]);
+  slots_ = MaterializeObjects(*context_, objects, pool_);
 
   // Pool identities: slot + 1, matching the maintenance simulator's 1-based
   // object ids, so writer-epoch dirty pages land on exactly the PageKeys

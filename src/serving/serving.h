@@ -215,7 +215,7 @@ class ServingEngine {
 
   /// Distinct materialized objects, and the slot each workload query routes
   /// to. Read-only after construction.
-  std::vector<std::shared_ptr<MaterializedObject>> slots_;
+  std::vector<std::unique_ptr<MaterializedObject>> slots_;
   std::vector<size_t> slot_of_query_;
 
   /// Shared page pool (pool_pages/pool_fraction > 0 only). Created in the

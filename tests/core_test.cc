@@ -6,11 +6,13 @@
 
 #include <bit>
 #include <map>
+#include <set>
 #include <string_view>
 
 #include "core/baseline_designers.h"
 #include "core/coradd_designer.h"
 #include "core/evaluator.h"
+#include "obs/metrics.h"
 #include "ssb/ssb.h"
 
 namespace coradd {
@@ -146,16 +148,6 @@ TEST_F(CoreTest, CommercialUsesBTreesNotCms) {
   EXPECT_LE(d.object_bytes, 32ull << 20);
 }
 
-TEST_F(CoreTest, EvaluatorCachesAcrossBudgets) {
-  CoraddDesigner designer(context_, FastOptions());
-  DesignEvaluator evaluator(context_);
-  const DatabaseDesign d1 = designer.Design(*workload_, 8ull << 20);
-  evaluator.Run(d1, *workload_, designer.model());
-  const uint64_t hits_before = evaluator.cache_hits();
-  evaluator.Run(d1, *workload_, designer.model());
-  EXPECT_GT(evaluator.cache_hits(), hits_before);
-}
-
 TEST_F(CoreTest, RunManyMatchesSerialRunsAtAnyThreadCount) {
   // The parallel evaluator contract: RunMany over a sweep of jobs returns
   // exactly what per-job Run calls return, bit for bit, at any pool size.
@@ -166,21 +158,22 @@ TEST_F(CoreTest, RunManyMatchesSerialRunsAtAnyThreadCount) {
   ThreadPool serial_pool(1);
   ExecOptions serial;
   serial.pool = &serial_pool;
-  DesignEvaluator serial_eval(context_, /*cache_capacity=*/24, serial);
+  DesignEvaluator serial_eval(context_, /*max_resident=*/24, serial);
   const WorkloadRunResult want1 =
       serial_eval.Run(d1, *workload_, designer.model());
   const WorkloadRunResult want2 =
       serial_eval.Run(d2, *workload_, designer.model());
 
-  // Capacity 0 caches nothing: each chunk pins only its own objects.
-  for (size_t capacity : {size_t{24}, size_t{0}}) {
+  // max_resident 1 (and 0, read as 1) builds, runs and drops one object
+  // at a time; 24 holds every object of this sweep at once.
+  for (size_t max_resident : {size_t{24}, size_t{1}, size_t{0}}) {
     for (size_t threads : {2u, 8u}) {
-      SCOPED_TRACE(testing::Message() << threads << " threads, capacity "
-                                      << capacity);
+      SCOPED_TRACE(testing::Message() << threads << " threads, max_resident "
+                                      << max_resident);
       ThreadPool pool(threads);
       ExecOptions eo;
       eo.pool = &pool;
-      DesignEvaluator evaluator(context_, capacity, eo);
+      DesignEvaluator evaluator(context_, max_resident, eo);
       const std::vector<WorkloadRunResult> got = evaluator.RunMany(
           {EvalJob{&d1, workload_, &designer.model()},
            EvalJob{&d2, workload_, &designer.model()}});
@@ -201,13 +194,58 @@ TEST_F(CoreTest, RunManyMatchesSerialRunsAtAnyThreadCount) {
                     want.per_query[qi].object_name);
         }
       }
-      // A one-design Run is one chunk of its own.
+      // A one-design Run is a one-job RunMany.
       const WorkloadRunResult one = evaluator.Run(d1, *workload_,
                                                   designer.model());
       EXPECT_EQ(one.total_seconds, want1.total_seconds);
     }
   }
 }
+
+TEST_F(CoreTest, RunManyBuildsEachDistinctObjectOnce) {
+  // Object-major evaluation builds each distinct routed object (by
+  // ObjectSignature) exactly once per RunMany call, at any residency bound:
+  // a design repeated in the sweep, or an object shared by two designs,
+  // costs no second build.
+  CoraddDesigner designer(context_, FastOptions());
+  const DatabaseDesign d1 = designer.Design(*workload_, 4ull << 20);
+  const DatabaseDesign d2 = designer.Design(*workload_, 16ull << 20);
+  const std::vector<EvalJob> jobs = {
+      EvalJob{&d1, workload_, &designer.model()},
+      EvalJob{&d2, workload_, &designer.model()},
+      EvalJob{&d1, workload_, &designer.model()}};
+  std::set<std::string> distinct;
+  for (const EvalJob& job : jobs) {
+    for (size_t qi = 0; qi < workload_->queries.size(); ++qi) {
+      const int oi = job.design->object_for_query[qi];
+      distinct.insert(
+          ObjectSignature(job.design->objects[static_cast<size_t>(oi)]));
+    }
+  }
+  const obs::Counter& builds =
+      *obs::MetricsRegistry::Global().GetCounter("core.materializations");
+  for (size_t max_resident : {size_t{1}, size_t{2}, size_t{24}}) {
+    SCOPED_TRACE(testing::Message() << "max_resident " << max_resident);
+    DesignEvaluator evaluator(context_, max_resident);
+    const uint64_t before = builds.Value();
+    ASSERT_EQ(evaluator.RunMany(jobs).size(), jobs.size());
+    EXPECT_EQ(builds.Value() - before, distinct.size());
+  }
+}
+
+#if GTEST_HAS_DEATH_TEST
+TEST_F(CoreTest, RunManyRejectsShortRoutingVector) {
+  // A routing vector shorter than the workload is a caller bug: routing
+  // aborts with a diagnostic rather than reading past the vector's end.
+  NaiveDesigner naive(context_);
+  DatabaseDesign d = naive.Design(*workload_, 4ull << 20);
+  ASSERT_EQ(d.object_for_query.size(), workload_->queries.size());
+  d.object_for_query.pop_back();
+  DesignEvaluator evaluator(context_);
+  EXPECT_DEATH(evaluator.Run(d, *workload_, naive.model()),
+               "object_for_query");
+}
+#endif
 
 TEST_F(CoreTest, RealAndExpectedAgreeOnOrderOfMagnitude) {
   // CORADD-Model tracked reality well in Fig 9; at minimum the two must

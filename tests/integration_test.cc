@@ -26,7 +26,7 @@ class IntegrationTest : public ::testing::Test {
     sopt.sample_rows = 4096;
     sopt.disk.page_size_bytes = 1024;
     context_ = new DesignContext(catalog_, *workload_, sopt);
-    evaluator_ = new DesignEvaluator(context_, /*cache_capacity=*/40);
+    evaluator_ = new DesignEvaluator(context_, /*max_resident=*/40);
     coradd_ = new CoraddDesigner(context_, FastOptions());
     coradd_designs_ = new std::map<uint64_t, DatabaseDesign>();
   }

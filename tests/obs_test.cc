@@ -352,7 +352,7 @@ PipelineResult RunTinyPipeline() {
   CoraddDesigner designer(&context, copt);
   const DatabaseDesign design = designer.Design(workload, 8ull << 20);
 
-  DesignEvaluator evaluator(&context, /*cache_capacity=*/16);
+  DesignEvaluator evaluator(&context, /*max_resident=*/16);
   const WorkloadRunResult run =
       evaluator.Run(design, workload, designer.model());
 

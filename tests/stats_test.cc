@@ -1,5 +1,5 @@
-// Tests for src/stats: histogram estimates, distinct-value sampling, the
-// one-scan synopsis, pairwise correlation strengths, and the AE estimator.
+// Tests for src/stats: histogram estimates, the one-scan synopsis,
+// pairwise correlation strengths, and the AE estimator.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +8,6 @@
 #include "common/rng.h"
 #include "stats/ae_estimator.h"
 #include "stats/correlation.h"
-#include "stats/distinct_sampler.h"
 #include "stats/histogram.h"
 #include "stats/stats_collector.h"
 
@@ -64,36 +63,6 @@ TEST(HistogramTest, SkewedEqualityUsesBucketDistinct) {
   for (int64_t i = 0; i < 10; ++i) values.push_back(100 + i);
   const Histogram h = Histogram::Build(values, 256);
   EXPECT_NEAR(h.SelectivityEqual(5), 0.99, 1e-9);
-}
-
-// ---------- DistinctSampler (Gibbons) ----------
-
-TEST(DistinctSamplerTest, ExactWhenUnderCapacity) {
-  DistinctSampler s(1024);
-  for (int64_t v = 0; v < 500; ++v) s.Add(v % 100);
-  EXPECT_EQ(s.level(), 0);
-  EXPECT_NEAR(s.EstimateDistinct(), 100.0, 1e-9);
-}
-
-TEST(DistinctSamplerTest, ApproximatesAboveCapacity) {
-  DistinctSampler s(256);
-  for (int64_t v = 0; v < 100000; ++v) s.Add(v);
-  EXPECT_GT(s.level(), 0);
-  EXPECT_NEAR(s.EstimateDistinct(), 100000.0, 100000.0 * 0.25);
-}
-
-TEST(DistinctSamplerTest, RepeatsDoNotInflate) {
-  DistinctSampler s(256);
-  for (int pass = 0; pass < 20; ++pass) {
-    for (int64_t v = 0; v < 1000; ++v) s.Add(v);
-  }
-  EXPECT_NEAR(s.EstimateDistinct(), 1000.0, 300.0);
-}
-
-TEST(DistinctSamplerTest, SampleValuesAreRealValues) {
-  DistinctSampler s(64);
-  for (int64_t v = 0; v < 10000; ++v) s.Add(v * 3);
-  for (int64_t v : s.SampleValues()) EXPECT_EQ(v % 3, 0);
 }
 
 // ---------- AE / GEE ----------
