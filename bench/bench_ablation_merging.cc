@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
     candgen.trials_pruned =
         interleaved.trials_pruned() + concat.trials_pruned();
     candgen.groups_designed = 2 * groups.size();
-    ReportCandgen(&json, *f.context, candgen);
+    ReportCandgen(&json, candgen);
   });
   return h.Finish();
 }

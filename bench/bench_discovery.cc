@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/thread_pool.h"
 #include "discovery/fd_miner.h"
 
 using namespace coradd;
@@ -98,9 +99,10 @@ int main(int argc, char** argv) {
       double base_seconds = 0.0;
       DiscoveredDependencies reference;
       for (size_t threads : thread_counts) {
+        ThreadPool pool(threads);
         DependencyMinerOptions mopt;
         mopt.max_lhs_arity = arity;
-        mopt.num_threads = threads;
+        mopt.pool = &pool;
         DependencyMiner miner(mopt);
         const auto t0 = std::chrono::steady_clock::now();
         DiscoveredDependencies report = miner.Mine(input);
@@ -143,9 +145,10 @@ int main(int argc, char** argv) {
 
     // --- The paper's date hierarchy at this scale (acceptance check). ---
     if (pass.reporting) {
+      ThreadPool pool(thread_counts.back());
       DependencyMinerOptions mopt;
       mopt.max_lhs_arity = 2;
-      mopt.num_threads = thread_counts.back();
+      mopt.pool = &pool;
       const MinerInput input = full ? MinerInput::FromUniverse(universe)
                                     : MinerInput::FromUniverse(universe,
                                                                max_rows, 17);

@@ -5,15 +5,14 @@
 // tight budgets and 4-5x at large ones; Naive beats Commercial but trails
 // CORADD because dedicated MVs share nothing.
 //
-// The CORADD grid goes through CoraddDesigner::DesignMany — one shared
-// candidate pool and price table, solves warm-started budget to budget on
-// the parallel solver engine — while the (const, thread-safe) baseline
-// designers fill their cells concurrently on the shared pool. Every
+// Every designer designs its grid in one DesignMany call: one shared
+// candidate pool and price table per designer. CORADD's solves are
+// warm-started budget to budget on the parallel solver engine; the
+// baselines select their budgets concurrently on the shared pool. Every
 // (designer, budget) cell is then executed in one parallel RunMany sweep.
 // The whole pipeline (fixture build included) runs under the benchkit
 // repetition harness; --json emits schema-v2 BENCH_fig11_ssb.json with
 // wall / design / eval sample arrays.
-#include "common/thread_pool.h"
 #include "bench/bench_util.h"
 
 using namespace coradd;
@@ -55,17 +54,10 @@ int main(int argc, char** argv) {
     std::vector<DatabaseDesign> coradd_designs =
         coradd.DesignMany(f.workload, budgets, &infos);
 
-    // Baselines: every (designer, budget) cell designs concurrently.
-    std::vector<DatabaseDesign> naive_designs(budgets.size());
-    std::vector<DatabaseDesign> commercial_designs(budgets.size());
-    ThreadPool::Shared().ParallelFor(budgets.size() * 2, [&](size_t i) {
-      const size_t b = i / 2;
-      if (i % 2 == 0) {
-        naive_designs[b] = naive.Design(f.workload, budgets[b]);
-      } else {
-        commercial_designs[b] = commercial.Design(f.workload, budgets[b]);
-      }
-    });
+    std::vector<DatabaseDesign> naive_designs =
+        naive.DesignMany(f.workload, budgets);
+    std::vector<DatabaseDesign> commercial_designs =
+        commercial.DesignMany(f.workload, budgets);
 
     double coradd_design_time = 0.0;
     for (const auto& d : coradd_designs) coradd_design_time += d.design_seconds;
@@ -157,7 +149,7 @@ int main(int argc, char** argv) {
     CandGenStats candgen = coradd.candgen_stats();
     candgen.Accumulate(naive.candgen_stats());
     candgen.Accumulate(commercial.candgen_stats());
-    ReportCandgen(&json, *f.context, candgen);
+    ReportCandgen(&json, candgen);
   });
   return h.Finish();
 }

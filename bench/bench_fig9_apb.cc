@@ -6,11 +6,10 @@
 // CORADD-Model tracks reality; the commercial model underestimates badly.
 //
 // CORADD designs through the warm-started DesignMany chain (shared
-// candidate pool and prices), the commercial proxy fills its budget cells
-// concurrently, then every (designer, budget) cell is executed in one
+// candidate pool and prices), the commercial proxy designs its grid in one
+// DesignMany call, then every (designer, budget) cell is executed in one
 // parallel RunMany sweep — all under the benchkit repetition harness.
 // --json emits schema-v2 BENCH_fig9_apb.json.
-#include "common/thread_pool.h"
 #include "bench/bench_util.h"
 
 using namespace coradd;
@@ -39,10 +38,8 @@ int main(int argc, char** argv) {
         BudgetGrid(f.fact_heap_bytes, {0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0});
     std::vector<DatabaseDesign> coradd_designs =
         coradd.DesignMany(f.workload, budgets);
-    std::vector<DatabaseDesign> commercial_designs(budgets.size());
-    ThreadPool::Shared().ParallelFor(budgets.size(), [&](size_t b) {
-      commercial_designs[b] = commercial.Design(f.workload, budgets[b]);
-    });
+    std::vector<DatabaseDesign> commercial_designs =
+        commercial.DesignMany(f.workload, budgets);
 
     SweepRunner sweep(&evaluator, &f.workload);
     for (size_t b = 0; b < budgets.size(); ++b) {
@@ -88,7 +85,7 @@ int main(int argc, char** argv) {
     json.Config("eval_seconds", eval_seconds);
     CandGenStats candgen = coradd.candgen_stats();
     candgen.Accumulate(commercial.candgen_stats());
-    ReportCandgen(&json, *f.context, candgen);
+    ReportCandgen(&json, candgen);
   });
   return h.Finish();
 }

@@ -138,30 +138,22 @@ inline CoraddOptions BenchCoraddOptions() {
   return options;
 }
 
-/// Prints and records the candidate-generation segment (wall seconds,
-/// trials priced/pruned, generation-cache hits) in a bench's --json output:
-/// cache-level counters come from the context's CandidateGenCache and
-/// per-trial counters from the designers' generators (pass them accumulated
-/// in `designer_totals`). BENCH_*.json thereby records the generation
-/// trajectory next to the solver's.
-inline void ReportCandgen(BenchJson* json, const DesignContext& context,
-                          const CandGenStats& designer_totals) {
-  CandGenStats cg = context.candgen_cache().stats();
-  cg.Accumulate(designer_totals);
+/// Prints and records the candidate-generation segment (wall seconds
+/// spent generating, trials priced/pruned, groups designed) in a bench's
+/// --json output, from the designers' counters accumulated in `cg`.
+/// BENCH_*.json thereby records the generation trajectory next to the
+/// solver's.
+inline void ReportCandgen(BenchJson* json, const CandGenStats& cg) {
   std::printf("candgen: %s\n", cg.ToString().c_str());
   json->Config("candgen_wall_seconds", cg.wall_seconds);
   json->Config("candgen_trials_priced", static_cast<double>(cg.trials_priced));
   json->Config("candgen_trials_pruned", static_cast<double>(cg.trials_pruned));
   json->Config("candgen_groups_designed",
                static_cast<double>(cg.groups_designed));
-  json->Config("candgen_cache_hits", static_cast<double>(cg.cache_hits));
-  json->Config("candgen_cache_misses",
-               static_cast<double>(cg.cache_misses));
 }
 
 /// Collects the (designer, budget) sweep of a figure bench and evaluates
-/// every cell in one parallel DesignEvaluator::RunMany — designs are still
-/// produced serially (designers share memoized models), but all executed
+/// every cell in one parallel DesignEvaluator::RunMany, so all executed
 /// query runs fan out across the shared pool together.
 class SweepRunner {
  public:

@@ -36,32 +36,36 @@ int main(int argc, char** argv) {
   CommercialDesigner commercial(&context);
   DesignEvaluator evaluator(&context, /*max_resident=*/48);
 
-  // Design every budget first, then evaluate the whole grid in one RunMany
-  // so objects that recur across budgets and designers are built once.
-  const std::vector<double> budgets_mb = {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0};
-  std::vector<DatabaseDesign> designs;
+  // Each designer designs the whole grid in one call, then the grid is
+  // evaluated in one RunMany so objects that recur across budgets and
+  // designers are built once.
+  std::vector<uint64_t> budgets;
+  for (double mb : {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0}) {
+    budgets.push_back(static_cast<uint64_t>(mb * (1 << 20)));
+  }
+  const std::vector<DatabaseDesign> coradd_designs =
+      coradd.DesignMany(workload, budgets);
+  const std::vector<DatabaseDesign> naive_designs =
+      naive.DesignMany(workload, budgets);
+  const std::vector<DatabaseDesign> commercial_designs =
+      commercial.DesignMany(workload, budgets);
   std::vector<EvalJob> jobs;
-  designs.reserve(3 * budgets_mb.size());
-  for (double mb : budgets_mb) {
-    const uint64_t budget = static_cast<uint64_t>(mb * (1 << 20));
-    designs.push_back(coradd.Design(workload, budget));
-    jobs.push_back(EvalJob{&designs.back(), &workload, &coradd.model()});
-    designs.push_back(naive.Design(workload, budget));
-    jobs.push_back(EvalJob{&designs.back(), &workload, &naive.model()});
-    designs.push_back(commercial.Design(workload, budget));
-    jobs.push_back(EvalJob{&designs.back(), &workload, &commercial.model()});
+  for (size_t b = 0; b < budgets.size(); ++b) {
+    jobs.push_back(EvalJob{&coradd_designs[b], &workload, &coradd.model()});
+    jobs.push_back(EvalJob{&naive_designs[b], &workload, &naive.model()});
+    jobs.push_back(
+        EvalJob{&commercial_designs[b], &workload, &commercial.model()});
   }
   const std::vector<WorkloadRunResult> runs = evaluator.RunMany(jobs);
 
   std::printf("%12s %12s %12s %12s %10s\n", "budget", "CORADD", "Naive",
               "Commercial", "objects");
-  for (size_t b = 0; b < budgets_mb.size(); ++b) {
-    std::printf("%12s %12s %12s %12s %10zu\n",
-                HumanBytes(designs[3 * b].budget_bytes).c_str(),
+  for (size_t b = 0; b < budgets.size(); ++b) {
+    std::printf("%12s %12s %12s %12s %10zu\n", HumanBytes(budgets[b]).c_str(),
                 HumanSeconds(runs[3 * b].total_seconds).c_str(),
                 HumanSeconds(runs[3 * b + 1].total_seconds).c_str(),
                 HumanSeconds(runs[3 * b + 2].total_seconds).c_str(),
-                designs[3 * b].objects.size());
+                coradd_designs[b].objects.size());
   }
   std::printf("\nReading the curve: the budget where CORADD's runtime "
               "flattens is the\npoint past which extra space buys little — "

@@ -396,10 +396,6 @@ void Scheduler::SubmitHelper(const std::shared_ptr<LoopState>& s) {
 
 void Scheduler::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
-  if (n == 1) {  // no scheduling to do; skip the machinery
-    fn(0);
-    return;
-  }
   auto sp = std::make_shared<LoopState>();
   LoopState& s = *sp;
   s.n = n;

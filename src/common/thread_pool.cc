@@ -74,7 +74,6 @@ void ThreadPool::WaitIdle() {
 
 void ThreadPool::RunTimed(const std::function<void()>& task,
                           WorkerSlot* slot) {
-  active_participants_.fetch_add(1, std::memory_order_relaxed);
   // Busy-ns accounting costs two clock reads per task; tasks here are
   // chunky ParallelFor drains, so that is noise.
   TRACE_SPAN("thread_pool.task");
@@ -90,7 +89,6 @@ void ThreadPool::RunTimed(const std::function<void()>& task,
     slot->registry_tasks->Add(1);
     slot->registry_busy_ns->Add(ns);
   }
-  active_participants_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void ThreadPool::WorkerLoop(size_t worker_index) {
@@ -120,10 +118,14 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
 }
 
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
+  // The one inline rule: a single index or a single worker leaves nothing
+  // to spread, so the caller runs the loop itself.
+  if (n <= 1 || workers_.size() == 1) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
   TRACE_SPAN("thread_pool.parallel_for",
              {{"n", static_cast<int64_t>(n)}});
-  active_participants_.fetch_add(1, std::memory_order_relaxed);
   // The scheduler packs ranges into 32-bit bounds; a longer loop (nothing
   // in the pipeline comes near) runs as consecutive scheduler loops.
   constexpr size_t kMaxLoop = UINT32_MAX;
@@ -135,7 +137,6 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
       scheduler_->ParallelFor(len, [&](size_t i) { fn(base + i); });
     }
   }
-  active_participants_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 std::vector<ThreadPool::WorkerStats> ThreadPool::worker_stats() const {

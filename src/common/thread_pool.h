@@ -9,6 +9,11 @@
 // uniform loads pay near-zero scheduling overhead and skewed loads
 // rebalance at iteration granularity.
 //
+// ParallelFor is the only code that decides whether a loop runs in
+// parallel. It runs the loop inline on the calling thread when n == 1 or
+// the pool has one worker, so CORADD_THREADS=1 means one thread
+// everywhere; callers never fork on the pool size themselves.
+//
 // ParallelFor is nest-safe: the calling thread participates in its own
 // loop, and while blocked on stragglers it steals the loop's stealable
 // subtasks and then parks on a condition variable. A worker that starts a
@@ -74,8 +79,9 @@ class ThreadPool {
   void WaitIdle();
 
   /// Runs fn(i) for every i in [0, n), spread across the pool, and blocks
-  /// until all iterations complete. The caller participates (so a 1-thread
-  /// pool — or a call from inside another ParallelFor — still progresses).
+  /// until all iterations complete. The caller participates (so a call
+  /// from inside another ParallelFor still progresses); when n == 1 or the
+  /// pool has one worker the caller runs every index itself, in order.
   /// Writers must target disjoint state per index.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
@@ -105,14 +111,6 @@ class ThreadPool {
   /// Threads a ParallelFor can recruit: every worker plus the calling
   /// thread, which always participates in its own loop.
   size_t participant_capacity() const { return workers_.size() + 1; }
-  /// Threads currently executing pool work (worker tasks and inline
-  /// ParallelFor participation). An approximate saturation
-  /// signal for admission control — a thread inside a nested ParallelFor
-  /// counts once per nesting level — not the scheduler's per-loop
-  /// participant count, which stays internal to common/scheduler.cc.
-  size_t active_participants() const {
-    return active_participants_.load(std::memory_order_relaxed);
-  }
 
  private:
   /// One worker's counters, cache-line-isolated so neighbors don't false-
@@ -140,7 +138,6 @@ class ThreadPool {
   size_t in_flight_ = 0;              ///< Tasks popped but not yet finished.
   bool stop_ = false;
   std::atomic<size_t> queue_hwm_{0};
-  std::atomic<size_t> active_participants_{0};
   obs::Gauge* registry_queue_depth_ = nullptr;  ///< named pools only
 };
 

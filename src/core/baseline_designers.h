@@ -10,9 +10,17 @@
 // B+Tree secondary indexes, Greedy(m,k) selection) driven by the
 // correlation-OBLIVIOUS cost model of Fig 10. See "Substitutions" in
 // docs/ARCHITECTURE.md for the rationale.
+//
+// Both design a whole budget grid in one DesignMany call: candidates are
+// enumerated and priced once (Commercial also drops dominated candidates
+// once), then every budget is selected and packaged concurrently on
+// ThreadPool::Shared(), each into its own slot. Design(w, b) is
+// DesignMany(w, {b}).front().
 #pragma once
 
+#include <atomic>
 #include <memory>
+#include <vector>
 
 #include "core/context.h"
 #include "core/design.h"
@@ -22,12 +30,9 @@
 
 namespace coradd {
 
-/// §7.2's Naive baseline. Design() is const and thread-safe (the memoized
-/// cost model is internally synchronized), so bench sweeps can design every
-/// budget cell concurrently. Candidate enumeration (fact re-clusterings +
-/// dedicated per-query keys) is model-independent, so it routes through the
-/// context's CandidateGenCache under a designer tag — concurrent budget
-/// cells and repeat calls share one enumeration pass.
+/// §7.2's Naive baseline. Its candidates are the fact re-clusterings plus
+/// one dedicated key per query. Design() and DesignMany() are const and
+/// thread-safe (the memoized cost model is internally synchronized).
 class NaiveDesigner {
  public:
   explicit NaiveDesigner(const DesignContext* context,
@@ -35,26 +40,37 @@ class NaiveDesigner {
 
   DatabaseDesign Design(const Workload& workload, uint64_t budget_bytes) const;
 
+  /// One design per entry of `budgets`, in order; candidates are
+  /// enumerated and priced once for the whole grid.
+  std::vector<DatabaseDesign> DesignMany(
+      const Workload& workload, const std::vector<uint64_t>& budgets) const;
+
   const CorrelationCostModel& model() const { return *model_; }
 
-  /// Trial-pricing counters of the dedicated-key designer.
+  /// Trial-pricing counters of the dedicated-key designer, with the wall
+  /// time spent enumerating candidates.
   CandGenStats candgen_stats() const;
 
  private:
   const DesignContext* context_;
   std::unique_ptr<CorrelationCostModel> model_;
   std::unique_ptr<ClusteredIndexDesigner> dedicated_;
+  mutable std::atomic<uint64_t> enumerate_ns_{0};
 };
 
-/// Correlation-oblivious commercial-designer proxy. Design() is const and
-/// thread-safe, like NaiveDesigner's; generation goes through the context's
-/// CandidateGenCache keyed by the oblivious model's CacheId().
+/// Correlation-oblivious commercial-designer proxy. Design() and
+/// DesignMany() are const and thread-safe, like NaiveDesigner's.
 class CommercialDesigner {
  public:
   explicit CommercialDesigner(const DesignContext* context,
                               GreedyMkOptions greedy_options = {});
 
   DatabaseDesign Design(const Workload& workload, uint64_t budget_bytes) const;
+
+  /// One design per entry of `budgets`, in order; candidates are generated,
+  /// priced and domination-pruned once for the whole grid.
+  std::vector<DatabaseDesign> DesignMany(
+      const Workload& workload, const std::vector<uint64_t>& budgets) const;
 
   const ObliviousCostModel& model() const { return *model_; }
 

@@ -39,9 +39,6 @@ const DiscoveredDependencies* DesignContext::MineDependencies(
       }
     }
     stats_[i]->InstallMinedDependencies(mined_[i].get(), config.source);
-    // Mined knowledge changes the statistics every generator reads; move
-    // candidate-generation cache keys onto a fresh epoch.
-    stats_epoch_.fetch_add(1, std::memory_order_relaxed);
     return mined_[i].get();
   }
   return nullptr;

@@ -4,14 +4,14 @@
 // hook for the dependency-discovery subsystem: MineDependencies() runs the
 // lattice miner over a fact's rows and installs the discovered FDs/AFDs as
 // the correlation source every designer reading this context consumes.
+// Candidates are not kept here: each designer's DesignMany generates them
+// once and shares them across its budget grid.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
 #include "catalog/universe.h"
-#include "core/candgen_cache.h"
 #include "cost/cost_model.h"
 #include "discovery/fd_miner.h"
 #include "workload/query.h"
@@ -68,19 +68,6 @@ class DesignContext {
   const DiscoveredDependencies* DependenciesForFact(
       const std::string& fact) const;
 
-  /// Shared candidate-generation cache: CORADD, Naive and Commercial
-  /// designers (and DesignMany sweeps) reuse one generation pass per
-  /// (workload, cost-model id, options, stats epoch) key. Internally
-  /// synchronized, hence usable from const designers.
-  CandidateGenCache& candgen_cache() const { return candgen_cache_; }
-
-  /// Monotone statistics epoch, bumped by MineDependencies: cached
-  /// candidate sets generated under older statistics are keyed out rather
-  /// than invalidated in place.
-  uint64_t stats_epoch() const {
-    return stats_epoch_.load(std::memory_order_relaxed);
-  }
-
  private:
   const Catalog* catalog_;
   StatsOptions stats_options_;
@@ -89,8 +76,6 @@ class DesignContext {
   /// mined_[i] belongs to universes_[i]; nullptr until mined.
   std::vector<std::unique_ptr<DiscoveredDependencies>> mined_;
   StatsRegistry registry_;
-  mutable CandidateGenCache candgen_cache_;
-  std::atomic<uint64_t> stats_epoch_{0};
 };
 
 }  // namespace coradd

@@ -37,25 +37,17 @@ CoraddDesigner::CoraddDesigner(const DesignContext* context,
 BuiltProblem CoraddDesigner::BuildPrunedProblem(const Workload& workload,
                                                 uint64_t budget_bytes,
                                                 CoraddRunInfo* info) const {
-  // --- §4: candidate generation, shared across designers and sweeps
-  // through the context's CandidateGenCache (one pass per distinct key;
-  // repeat Design() calls and budget grids hit).
+  // --- §4: candidate generation.
   const double t0 = Now();
-  const std::shared_ptr<const CandidateSet> candidates =
-      context_->candgen_cache().GetOrGenerate(
-          CandidateGenKey(workload, model_->CacheId(),
-                          CandidateGeneratorOptionsSignature(
-                              generator_->options()),
-                          context_->stats_epoch()),
-          [&] { return generator_->Generate(workload); });
-  info->candidates_enumerated = candidates->mvs.size();
+  CandidateSet candidates = generator_->Generate(workload);
+  info->candidates_enumerated = candidates.mvs.size();
   info->candgen_seconds += Now() - t0;
 
   // --- §5: build + prune.
   const double t1 = Now();
   BuiltProblem built =
-      BuildSelectionProblem(workload, std::vector<MvSpec>(candidates->mvs),
-                            *model_, context_->registry(), budget_bytes);
+      BuildSelectionProblem(workload, std::move(candidates.mvs), *model_,
+                            context_->registry(), budget_bytes);
   if (options_.prune_dominated) PruneDominated(&built);
   info->candidates_after_domination = built.specs.size();
   info->pricing_seconds += Now() - t1;
@@ -69,8 +61,7 @@ DatabaseDesign CoraddDesigner::SolveAndPackage(const Workload& workload,
                                                WarmStartSession* warm,
                                                GroupDesignMemo* memo) const {
   const double t_solve = Now();
-  std::vector<int> warm_chosen;
-  if (warm != nullptr) warm_chosen = warm->WarmChosen(built);
+  const std::vector<int> warm_chosen = warm->WarmChosen(built);
 
   SelectionResult result;
   BuiltProblem final_problem;
@@ -91,7 +82,7 @@ DatabaseDesign CoraddDesigner::SolveAndPackage(const Workload& workload,
                           warm_chosen.empty() ? nullptr : &warm_chosen);
     final_problem = std::move(built);
   }
-  if (warm != nullptr) warm->Record(final_problem, result);
+  warm->Record(final_problem, result);
   info->solve_seconds += Now() - t_solve;
 
   // --- A-1: CMs on the chosen objects.
@@ -129,26 +120,7 @@ DatabaseDesign CoraddDesigner::SolveAndPackage(const Workload& workload,
 
 DatabaseDesign CoraddDesigner::Design(const Workload& workload,
                                       uint64_t budget_bytes) const {
-  return Design(workload, budget_bytes, nullptr, nullptr);
-}
-
-DatabaseDesign CoraddDesigner::Design(const Workload& workload,
-                                      uint64_t budget_bytes,
-                                      CoraddRunInfo* info,
-                                      WarmStartSession* warm) const {
-  CoraddRunInfo run;
-  const double t_start = Now();
-  BuiltProblem built = BuildPrunedProblem(workload, budget_bytes, &run);
-  GroupDesignMemo memo;  // shared across this call's feedback iterations
-  DatabaseDesign design = SolveAndPackage(workload, std::move(built),
-                                          budget_bytes, &run, warm, &memo);
-  design.design_seconds = Now() - t_start;
-  if (info != nullptr) *info = run;
-  {
-    std::lock_guard<std::mutex> lock(last_run_mu_);
-    last_run_ = std::move(run);
-  }
-  return design;
+  return DesignMany(workload, {budget_bytes}).front();
 }
 
 std::vector<DatabaseDesign> CoraddDesigner::DesignMany(

@@ -3,12 +3,13 @@
 // ILP selection with dominated-candidate pruning -> ILP feedback ->
 // CM design on the chosen objects.
 //
-// Design() is const and thread-safe: the cost model's memo caches are
-// internally synchronized and everything else is read-only, so bench
-// sweeps may design at several budgets concurrently. DesignMany() runs a
-// warm-started sequential chain over a budget grid instead: candidates are
-// generated, priced, and domination-pruned once, and every budget point
-// warm-starts its solves from the previous point's solution.
+// DesignMany() designs a whole budget grid in one call: candidates are
+// generated, priced, and domination-pruned once, and the budgets form a
+// warm-started sequential chain in which every point warm-starts its solves
+// from the previous point's solution. Design(w, b) is DesignMany(w, {b}):
+// a one-budget chain has nothing to warm-start from. Both are const and
+// thread-safe: the cost model's memo caches are internally synchronized and
+// everything else is read-only.
 #pragma once
 
 #include <memory>
@@ -58,13 +59,6 @@ class CoraddDesigner {
   /// concurrent calls share only the memoized cost model.
   DatabaseDesign Design(const Workload& workload, uint64_t budget_bytes) const;
 
-  /// As above, with explicit outputs: `info` (optional) receives the run
-  /// statistics without going through last_run(); `warm` (optional) seeds
-  /// the solves from the session's recorded solution and records this
-  /// design's solution back into it.
-  DatabaseDesign Design(const Workload& workload, uint64_t budget_bytes,
-                        CoraddRunInfo* info, WarmStartSession* warm) const;
-
   /// Warm-started sweep over a budget grid (ascending or any order):
   /// candidate generation, pricing, and domination pruning are shared
   /// across all points, and each point's solves are warm-started from the
@@ -75,8 +69,8 @@ class CoraddDesigner {
       const Workload& workload, const std::vector<uint64_t>& budgets,
       std::vector<CoraddRunInfo>* infos = nullptr) const;
 
-  /// Run statistics of the most recently *finished* Design() call (under
-  /// concurrent designing: whichever call finished last). Returns a copy
+  /// Run statistics of the most recently designed budget (under concurrent
+  /// designing: whichever budget finished last). Returns a copy
   /// taken under the same lock the writers hold, so it is safe to call
   /// while other threads design.
   CoraddRunInfo last_run() const {
@@ -95,7 +89,8 @@ class CoraddDesigner {
                                   uint64_t budget_bytes,
                                   CoraddRunInfo* info) const;
 
-  /// §5 + §6 + A-1: solve (with feedback), design CMs, package.
+  /// §5 + §6 + A-1: solve (with feedback) warm-started from `warm`,
+  /// record the solution into it, design CMs, package.
   DatabaseDesign SolveAndPackage(const Workload& workload,
                                  BuiltProblem built, uint64_t budget_bytes,
                                  CoraddRunInfo* info, WarmStartSession* warm,

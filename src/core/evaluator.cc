@@ -69,11 +69,7 @@ std::vector<std::unique_ptr<MaterializedObject>> MaterializeObjects(
     Materializer materializer(universe, context.stats_options().disk, pool);
     out[i] = materializer.Materialize(dobj.spec, dobj.cms, dobj.btree_columns);
   };
-  if (objects.size() > 1 && pool->num_threads() > 1) {
-    pool->ParallelFor(objects.size(), materialize);
-  } else {
-    for (size_t i = 0; i < objects.size(); ++i) materialize(i);
-  }
+  pool->ParallelFor(objects.size(), materialize);
   return out;
 }
 
@@ -164,12 +160,7 @@ std::vector<WorkloadRunResult> DesignEvaluator::RunMany(
       rec.fragments = run.fragments;
       rec.path = run.path;
     };
-    const size_t n = t_end - t_begin;
-    if (n > 1 && pool->num_threads() > 1) {
-      pool->ParallelFor(n, run_task);
-    } else {
-      for (size_t t = 0; t < n; ++t) run_task(t);
-    }
+    pool->ParallelFor(t_end - t_begin, run_task);
     t_begin = t_end;
   }
 

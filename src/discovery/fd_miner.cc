@@ -1,7 +1,6 @@
 #include "discovery/fd_miner.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "common/status.h"
 #include "common/thread_pool.h"
@@ -40,29 +39,6 @@ double G3Error(const std::vector<uint32_t>& lhs_groups, uint32_t lhs_num_groups,
   uint64_t kept = 0;
   for (uint32_t m : *group_max) kept += m;
   return static_cast<double>(n - kept) / static_cast<double>(n);
-}
-
-/// Runs fn(i) for i in [0, n): serially when `pool` is null (the 1-thread
-/// configuration skips pool construction entirely), else across `pool`.
-void RunIndexed(ThreadPool* pool, size_t n,
-                const std::function<void(size_t)>& fn) {
-  if (pool == nullptr) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  pool->ParallelFor(n, fn);
-}
-
-/// The num_threads policy, in one place: 0 = the process-wide shared pool
-/// (no per-call thread churn), 1 = inline (null pool, no threads at all),
-/// else a private pool of that size (tests pin counts to prove
-/// determinism). Returns the pool to use; `local` owns a private one.
-ThreadPool* AcquirePool(size_t num_threads,
-                        std::unique_ptr<ThreadPool>* local) {
-  if (num_threads == 0) return &ThreadPool::Shared();
-  if (num_threads == 1) return nullptr;
-  *local = std::make_unique<ThreadPool>(num_threads);
-  return local->get();
 }
 
 void InsertSorted(std::vector<int>* v, int value) {
@@ -121,12 +97,12 @@ DiscoveredDependencies DependencyMiner::Mine(const MinerInput& input) const {
   static obs::Counter& nodes_mined = *reg.GetCounter("discovery.lattice_nodes");
   static obs::Counter& fds_found = *reg.GetCounter("discovery.fds_found");
 
-  std::unique_ptr<ThreadPool> local_pool;
-  ThreadPool* pool = AcquirePool(options_.num_threads, &local_pool);
+  ThreadPool& pool =
+      options_.pool != nullptr ? *options_.pool : ThreadPool::Shared();
 
   // --- Level 1: one partition per column. ---
   std::vector<LatticeNode> singles(m);
-  RunIndexed(pool, m, [&](size_t c) {
+  pool.ParallelFor(m, [&](size_t c) {
     singles[c].cols = {static_cast<int>(c)};
     BuildSingletonPartition(input.columns[c], &singles[c]);
   });
@@ -189,7 +165,7 @@ DiscoveredDependencies DependencyMiner::Mine(const MinerInput& input) const {
     // confined to node i / verdict slot i, and all pruning state was merged
     // at the previous barrier, so every thread count yields the same set.
     std::vector<std::vector<RhsVerdict>> verdicts(level.size());
-    RunIndexed(pool, level.size(), [&](size_t i) {
+    pool.ParallelFor(level.size(), [&](size_t i) {
       LatticeNode& node = level[i];
       if (node.parent_index >= 0 && node.groups.empty()) {
         RefinePartition(
@@ -261,7 +237,7 @@ DiscoveredDependencies DependencyMiner::Mine(const MinerInput& input) const {
   // min_soft_strength is honored at every cap.
   if (options_.max_lhs_arity == 1 && !level.empty()) {
     std::vector<LatticeNode> pairs = ExpandLattice(level, active);
-    RunIndexed(pool, pairs.size(), [&](size_t i) {
+    pool.ParallelFor(pairs.size(), [&](size_t i) {
       RefinePartition(
           partition_of(level[static_cast<size_t>(pairs[i].parent_index)]),
           singles[static_cast<size_t>(pairs[i].extension_col)], &pairs[i]);
@@ -322,15 +298,15 @@ size_t DependencyMiner::VerifyExactFds(const MinerInput& full,
   if (n == 0) return 0;
   CORADD_CHECK(n < (1ull << 32));
 
-  std::unique_ptr<ThreadPool> local_pool;
-  ThreadPool* pool = AcquirePool(options_.num_threads, &local_pool);
+  ThreadPool& pool =
+      options_.pool != nullptr ? *options_.pool : ThreadPool::Shared();
 
   std::vector<size_t> needed_cols;
   for (size_t c = 0; c < needed.size(); ++c) {
     if (needed[c]) needed_cols.push_back(c);
   }
   std::vector<LatticeNode> singles(full.NumColumns());
-  RunIndexed(pool, needed_cols.size(), [&](size_t i) {
+  pool.ParallelFor(needed_cols.size(), [&](size_t i) {
     const size_t c = needed_cols[i];
     singles[c].cols = {static_cast<int>(c)};
     BuildSingletonPartition(full.columns[c], &singles[c]);
@@ -340,7 +316,7 @@ size_t DependencyMiner::VerifyExactFds(const MinerInput& full,
   // measure its g3 against the RHS partition. Slot-per-FD writes keep any
   // pool size deterministic.
   std::vector<double> errors(exact_idx.size(), 0.0);
-  RunIndexed(pool, exact_idx.size(), [&](size_t k) {
+  pool.ParallelFor(exact_idx.size(), [&](size_t k) {
     const FunctionalDependency& fd = report->fds_[exact_idx[k]];
     const LatticeNode* lhs = &singles[static_cast<size_t>(fd.lhs[0])];
     LatticeNode refined;

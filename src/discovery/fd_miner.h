@@ -6,8 +6,8 @@
 //     to delete for the FD to hold — is within a configurable threshold,
 //   * CORDS-style soft correlation strengths for attribute pairs,
 // with a configurable cap on LHS arity. Candidate validation at each lattice
-// level is partitioned across a ThreadPool; levels synchronize at barriers,
-// so the discovered dependency set is identical for every thread count.
+// level is partitioned across the caller's ThreadPool; levels synchronize at
+// barriers, so the discovered dependency set is identical for every pool.
 //
 // Mining over a uniform row sample (the designer's default, via
 // MinerInput::FromSynopsis) makes every verdict a sample statement: an FD
@@ -23,16 +23,17 @@
 
 namespace coradd {
 
+class ThreadPool;
+
 /// Mining knobs.
 struct DependencyMinerOptions {
   /// Maximum LHS size explored in the lattice.
   size_t max_lhs_arity = 2;
   /// Report lhs -> rhs with 0 < g3 error <= threshold as approximate FDs.
   double afd_error_threshold = 0.05;
-  /// Worker threads for candidate validation: 0 = the process-wide shared
-  /// pool (ThreadPool::Shared), 1 = inline (no pool), else a private pool of
-  /// that size. Every setting mines the identical dependency set.
-  size_t num_threads = 1;
+  /// Pool candidate validation fans out on; nullptr = ThreadPool::Shared().
+  /// Every pool mines the identical dependency set.
+  ThreadPool* pool = nullptr;
   /// Only pairs at least this strong are emitted as soft correlations
   /// (distinct-count ratios are still recorded for every validated set).
   double min_soft_strength = 0.25;

@@ -493,11 +493,7 @@ void QueryExecutor::AggregatePlan(const MaterializedObject& obj,
   };
   ThreadPool* pool =
       options_.pool != nullptr ? options_.pool : &ThreadPool::Shared();
-  if (num_tasks > 1 && pool->num_threads() > 1) {
-    pool->ParallelFor(num_tasks, run_task);
-  } else {
-    for (size_t t = 0; t < num_tasks; ++t) run_task(t);
-  }
+  pool->ParallelFor(num_tasks, run_task);
 
   for (size_t m = 0; m < num_members; ++m) {
     for (size_t t = 0; t < num_tasks; ++t) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <functional>
 #include <utility>
 
 #include "common/string_util.h"
@@ -11,17 +10,6 @@
 namespace coradd {
 
 namespace {
-
-/// Runs fn(i) for every i in [0, n) on `pool`, inline when there is
-/// nothing to spread. Each index writes only its own output.
-void ForEach(ThreadPool* pool, size_t n,
-             const std::function<void(size_t)>& fn) {
-  if (n > 1 && pool->num_threads() > 1) {
-    pool->ParallelFor(n, fn);
-  } else {
-    for (size_t i = 0; i < n; ++i) fn(i);
-  }
-}
 
 struct KeyedRow {
   uint64_t key;
@@ -219,7 +207,7 @@ std::unique_ptr<MaterializedObject> Materializer::Materialize(
   // Sort the fact rows once by the clustered key.
   {
     std::vector<std::vector<int64_t>> keys(key_cols.size());
-    ForEach(pool_, keys.size(), [&](size_t k) {
+    pool_->ParallelFor(keys.size(), [&](size_t k) {
       keys[k] =
           universe_->ColumnValues(ucols[static_cast<size_t>(key_cols[k])]);
     });
@@ -227,7 +215,7 @@ std::unique_ptr<MaterializedObject> Materializer::Materialize(
   }
 
   // Write every stored column straight into clustered order.
-  ForEach(pool_, ucols.size(), [&](size_t c) {
+  pool_->ParallelFor(ucols.size(), [&](size_t c) {
     std::vector<int64_t>& col = *table->MutableColumnData(c);
     col.resize(n);
     universe_->GatherColumn(ucols[c], obj->fact_row_of, col.data());
@@ -261,7 +249,7 @@ std::unique_ptr<MaterializedObject> Materializer::Materialize(
   const size_t num_cms = cm_specs.size();
   obj->cms.resize(num_cms);
   obj->btrees.resize(btree_columns.size());
-  ForEach(pool_, num_cms + btree_columns.size(), [&](size_t i) {
+  pool_->ParallelFor(num_cms + btree_columns.size(), [&](size_t i) {
     if (i < num_cms) {
       obj->cms[i] = BuildCm(*obj, cm_specs[i]);
       return;

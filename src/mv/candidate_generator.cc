@@ -1,5 +1,7 @@
 #include "mv/candidate_generator.h"
 
+#include <chrono>
+
 #include "common/string_util.h"
 #include "mv/fk_clustering.h"
 #include "obs/metrics.h"
@@ -7,40 +9,19 @@
 
 namespace coradd {
 
-std::string CandidateGeneratorOptionsSignature(
-    const CandidateGeneratorOptions& options) {
-  std::string s = "g:";
-  for (double a : options.grouping.alphas) s += StrFormat("%.17g,", a);
-  s += StrFormat("seed=%llu,restarts=%d|m:t=%d,attrs=%zu,inter=%zu,cat=%d,"
-                 "prune=%d,block=%zu",
-                 static_cast<unsigned long long>(options.grouping.seed),
-                 options.grouping.restarts, options.merging.t,
-                 options.merging.max_key_attrs,
-                 options.merging.max_interleavings,
-                 options.merging.concatenation_only ? 1 : 0,
-                 options.merging.prune_trials ? 1 : 0,
-                 options.merging.pricing_block);
-  return s;
-}
-
 void CandGenStats::Accumulate(const CandGenStats& other) {
   trials_priced += other.trials_priced;
   trials_pruned += other.trials_pruned;
   groups_designed += other.groups_designed;
-  cache_hits += other.cache_hits;
-  cache_misses += other.cache_misses;
   wall_seconds += other.wall_seconds;
 }
 
 std::string CandGenStats::ToString() const {
   return StrFormat(
-      "CandGenStats{priced=%llu, pruned=%llu, groups=%llu, hits=%llu, "
-      "misses=%llu, wall=%.3fs}",
+      "CandGenStats{priced=%llu, pruned=%llu, groups=%llu, wall=%.3fs}",
       static_cast<unsigned long long>(trials_priced),
       static_cast<unsigned long long>(trials_pruned),
-      static_cast<unsigned long long>(groups_designed),
-      static_cast<unsigned long long>(cache_hits),
-      static_cast<unsigned long long>(cache_misses), wall_seconds);
+      static_cast<unsigned long long>(groups_designed), wall_seconds);
 }
 
 MvCandidateGenerator::MvCandidateGenerator(const Catalog* catalog,
@@ -64,6 +45,8 @@ CandGenStats MvCandidateGenerator::stats() const {
   out.trials_priced = index_designer_->trials_priced();
   out.trials_pruned = index_designer_->trials_pruned();
   out.groups_designed = groups_designed_.load(std::memory_order_relaxed);
+  out.wall_seconds =
+      1e-9 * static_cast<double>(generate_ns_.load(std::memory_order_relaxed));
   return out;
 }
 
@@ -76,6 +59,7 @@ std::vector<MvSpec> MvCandidateGenerator::DesignForGroup(
 }
 
 CandidateSet MvCandidateGenerator::Generate(const Workload& workload) const {
+  const auto t0 = std::chrono::steady_clock::now();
   CandidateSet out;
   TRACE_SPAN_NAMED(
       gen_span, "candgen.generate",
@@ -126,6 +110,11 @@ CandidateSet MvCandidateGenerator::Generate(const Workload& workload) const {
     }
   }
   gen_span.Arg("mvs", static_cast<int64_t>(out.mvs.size()));
+  generate_ns_.fetch_add(
+      static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count()),
+      std::memory_order_relaxed);
   return out;
 }
 

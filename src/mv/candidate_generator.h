@@ -6,6 +6,9 @@
 // indexes are designed independently on the thread pool and merged back in
 // group order, so the generated CandidateSet is bit-identical at any thread
 // count (the PR 3/PR 4 determinism contract; tests/candgen_test.cc).
+//
+// Generate() keeps no cache: every call generates. Designers call it once
+// per DesignMany and share the set across their budget grid.
 #pragma once
 
 #include <memory>
@@ -28,11 +31,6 @@ struct CandidateGeneratorOptions {
   ThreadPool* pool = nullptr;
 };
 
-/// Signature of every option that affects the generated candidates (pools
-/// excluded — they must not). Keys the cross-designer CandidateGenCache.
-std::string CandidateGeneratorOptionsSignature(
-    const CandidateGeneratorOptions& options);
-
 /// The generated candidate pool.
 struct CandidateSet {
   std::vector<MvSpec> mvs;
@@ -42,13 +40,11 @@ struct CandidateSet {
 };
 
 /// Counters describing candidate-generation work, accumulated across
-/// generation passes and cache lookups (bench `candgen` JSON segment).
+/// generation passes (bench `candgen` JSON segment).
 struct CandGenStats {
   uint64_t trials_priced = 0;    ///< trial clusterings fully priced
   uint64_t trials_pruned = 0;    ///< trials skipped by the pruning bound
   uint64_t groups_designed = 0;  ///< DesignGroup invocations
-  uint64_t cache_hits = 0;       ///< CandidateGenCache hits
-  uint64_t cache_misses = 0;     ///< CandidateGenCache misses (generations)
   double wall_seconds = 0.0;     ///< wall time spent generating
 
   void Accumulate(const CandGenStats& other);
@@ -74,9 +70,8 @@ class MvCandidateGenerator {
 
   const CandidateGeneratorOptions& options() const { return options_; }
 
-  /// Generation-work counters since construction (trials priced/pruned and
-  /// groups designed; cache fields and wall time are owned by the
-  /// CandidateGenCache and stay zero here).
+  /// Generation-work counters since construction: trials priced/pruned,
+  /// groups designed, and the wall time of Generate() calls.
   CandGenStats stats() const;
 
  private:
@@ -86,6 +81,7 @@ class MvCandidateGenerator {
   CandidateGeneratorOptions options_;
   std::unique_ptr<ClusteredIndexDesigner> index_designer_;
   mutable std::atomic<uint64_t> groups_designed_{0};
+  mutable std::atomic<uint64_t> generate_ns_{0};
 };
 
 }  // namespace coradd

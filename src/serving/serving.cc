@@ -385,8 +385,7 @@ void ServingEngine::ExecuteEpoch(std::vector<std::unique_ptr<Ticket>> tickets) {
       deliver(tickets[unit.members[m]].get(), results[rep_of[m]], shared);
     }
   };
-  if (!options_.deterministic && units.size() > 1 &&
-      pool_->num_threads() > 1) {
+  if (!options_.deterministic) {
     pool_->ParallelFor(units.size(), run_unit);
   } else {
     for (size_t u = 0; u < units.size(); ++u) run_unit(u);

@@ -170,11 +170,7 @@ SelectionResult SolverEngine::Solve(const SelectionProblem& problem,
                  {{"wave", static_cast<int64_t>(local.waves)},
                   {"tasks", static_cast<int64_t>(width)},
                   {"open", static_cast<int64_t>(open.size())}});
-      if (width > 1) {
-        pool.ParallelFor(width, run_task);
-      } else {
-        run_task(0);
-      }
+      pool.ParallelFor(width, run_task);
     }
 
     // Ordered merge: task order — never completion order — decides ties.

@@ -1,8 +1,7 @@
 // Lockdown suite for the candidate-generation engine (§4 + docs/CANDGEN.md):
 // golden-candidate snapshots captured from the pre-rank-cache generation
 // path (candidate counts, spec signatures, priced benefits), bit-identity of
-// the generated CandidateSet at 1/2/8 threads, cache-hit vs cold-generation
-// equivalence of the cross-designer CandidateGenCache, and equivalence of
+// the generated CandidateSet at 1/2/8 threads, and equivalence of
 // ColumnOrderCache rank composition with the legacy fresh-std::sort ranks on
 // randomized synopses. Cheap cases run under the `smoke` ctest label as
 // `candgen_smoke` (--gtest_filter=CandgenSmoke*).
@@ -13,7 +12,6 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "core/candgen_cache.h"
 #include "core/context.h"
 #include "cost/column_order_cache.h"
 #include "cost/correlation_cost_model.h"
@@ -214,37 +212,9 @@ TEST(CandgenDeterminismTest, PruningOnOffProducesIdenticalSets) {
 }
 
 // ---------------------------------------------------------------------------
-// CandidateGenCache: hits return the cold-generation set verbatim.
-// ---------------------------------------------------------------------------
-
-TEST(CandgenCacheTest, HitMatchesColdGeneration) {
-  GoldenFixture f(SyntheticWorkload());
-  const std::string key = CandidateGenKey(
-      f.workload, f.model->CacheId(),
-      CandidateGeneratorOptionsSignature(CandidateGeneratorOptions{}),
-      f.context->stats_epoch());
-
-  CandidateGenCache& cache = f.context->candgen_cache();
-  const auto first =
-      cache.GetOrGenerate(key, [&] { return f.Generate(); });
-  const auto second = cache.GetOrGenerate(key, [] {
-    ADD_FAILURE() << "cache hit must not regenerate";
-    return CandidateSet{};
-  });
-  EXPECT_EQ(first.get(), second.get());  // shared, not regenerated
-  EXPECT_EQ(cache.stats().cache_hits, 1u);
-  EXPECT_EQ(cache.stats().cache_misses, 1u);
-  EXPECT_GT(cache.stats().wall_seconds, 0.0);
-
-  // A cold generation on a fresh context is bit-identical to the cached set.
-  GoldenFixture cold(SyntheticWorkload());
-  ExpectSetsIdentical(*first, cold.Generate());
-}
-
-// ---------------------------------------------------------------------------
 // Smoke cases (registered as the `candgen_smoke` ctest entry): order-cache
-// equivalence with the legacy sort on randomized synopses, cache key
-// discrimination, and cache bookkeeping — no SSB fixture, sub-second.
+// equivalence with the legacy sort on randomized synopses — no SSB
+// fixture, sub-second.
 // ---------------------------------------------------------------------------
 
 /// Builds a single-table catalog of `rows` rows with `num_cols` randomized
@@ -375,44 +345,6 @@ TEST(CandgenSmokeTest, ColumnOrderRunStructureIsConsistent) {
       }
     }
   }
-}
-
-TEST(CandgenSmokeTest, CacheKeyDiscriminatesInputs) {
-  const Workload w = SyntheticWorkload();
-  const std::string base = CandidateGenKey(w, "m", "o", 0);
-  EXPECT_EQ(base, CandidateGenKey(w, "m", "o", 0));
-  EXPECT_NE(base, CandidateGenKey(w, "m2", "o", 0));    // model
-  EXPECT_NE(base, CandidateGenKey(w, "m", "o2", 0));    // options
-  EXPECT_NE(base, CandidateGenKey(w, "m", "o", 1));     // stats epoch
-  Workload w2 = w;
-  w2.queries[0].frequency = 9.0;
-  EXPECT_NE(base, CandidateGenKey(w2, "m", "o", 0));    // frequency
-  Workload w3 = w;
-  w3.queries[1].predicates[0].hi += 1;
-  EXPECT_NE(base, CandidateGenKey(w3, "m", "o", 0));    // predicate bound
-}
-
-TEST(CandgenSmokeTest, CacheCountsAndSharesEntries) {
-  CandidateGenCache cache;
-  auto make = [](int n) {
-    CandidateSet set;
-    for (int i = 0; i < n; ++i) {
-      MvSpec spec;
-      spec.name = "m" + std::to_string(i);
-      set.mvs.push_back(std::move(spec));
-    }
-    return set;
-  };
-  const auto a = cache.GetOrGenerate("k1", [&] { return make(3); });
-  const auto b = cache.GetOrGenerate("k1", [&] { return make(99); });
-  const auto c = cache.GetOrGenerate("k2", [&] { return make(5); });
-  EXPECT_EQ(a.get(), b.get());
-  EXPECT_EQ(a->mvs.size(), 3u);
-  EXPECT_EQ(c->mvs.size(), 5u);
-  EXPECT_EQ(cache.size(), 2u);
-  const CandGenStats stats = cache.stats();
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(stats.cache_misses, 2u);
 }
 
 }  // namespace

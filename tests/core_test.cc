@@ -4,6 +4,7 @@
 // hash of every designer's output across a budget grid.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <map>
 #include <set>
@@ -31,6 +32,10 @@ class CoreTest : public ::testing::Test {
     context_ = new DesignContext(catalog_, *workload_, sopt);
   }
   static void TearDownTestSuite() {
+    delete coradd_designs_;
+    delete coradd_;
+    coradd_designs_ = nullptr;
+    coradd_ = nullptr;
     delete context_;
     delete workload_;
     delete catalog_;
@@ -44,14 +49,51 @@ class CoreTest : public ::testing::Test {
     return options;
   }
 
+  /// 0, 1, 2, 4, ... 64 MB.
+  static std::vector<uint64_t> Budgets() {
+    std::vector<uint64_t> budgets;
+    for (const uint64_t mb : {0, 1, 2, 4, 8, 16, 32, 64}) {
+      budgets.push_back(mb << 20);
+    }
+    return budgets;
+  }
+
+  /// The suite's FastOptions CORADD designer and its designs of Budgets(),
+  /// made by one DesignMany call on first use. Designing is deterministic,
+  /// so tests that only read a design share these.
+  static const CoraddDesigner& Coradd() {
+    if (coradd_ == nullptr) {
+      coradd_ = new CoraddDesigner(context_, FastOptions());
+      coradd_designs_ = new std::vector<DatabaseDesign>(
+          coradd_->DesignMany(*workload_, Budgets()));
+    }
+    return *coradd_;
+  }
+  static const std::vector<DatabaseDesign>& CoraddDesigns() {
+    Coradd();
+    return *coradd_designs_;
+  }
+  static const DatabaseDesign& CoraddDesignFor(uint64_t budget) {
+    const std::vector<DatabaseDesign>& designs = CoraddDesigns();
+    const auto it = std::find_if(
+        designs.begin(), designs.end(),
+        [&](const DatabaseDesign& d) { return d.budget_bytes == budget; });
+    CORADD_CHECK(it != designs.end());  // `budget` is one of Budgets()
+    return *it;
+  }
+
   static Catalog* catalog_;
   static Workload* workload_;
   static DesignContext* context_;
+  static CoraddDesigner* coradd_;
+  static std::vector<DatabaseDesign>* coradd_designs_;
 };
 
 Catalog* CoreTest::catalog_ = nullptr;
 Workload* CoreTest::workload_ = nullptr;
 DesignContext* CoreTest::context_ = nullptr;
+CoraddDesigner* CoreTest::coradd_ = nullptr;
+std::vector<DatabaseDesign>* CoreTest::coradd_designs_ = nullptr;
 
 TEST_F(CoreTest, ContextBuildsUniversePerFact) {
   EXPECT_NE(context_->UniverseForFact("lineorder"), nullptr);
@@ -60,10 +102,8 @@ TEST_F(CoreTest, ContextBuildsUniversePerFact) {
 }
 
 TEST_F(CoreTest, DesignRespectsBudget) {
-  CoraddDesigner designer(context_, FastOptions());
-  for (uint64_t budget : {0ull, 1ull << 20, 8ull << 20, 64ull << 20}) {
-    const DatabaseDesign d = designer.Design(*workload_, budget);
-    EXPECT_LE(d.object_bytes, budget) << budget;
+  for (const DatabaseDesign& d : CoraddDesigns()) {
+    EXPECT_LE(d.object_bytes, d.budget_bytes) << d.budget_bytes;
     // Every query routed somewhere.
     for (int oi : d.object_for_query) {
       ASSERT_GE(oi, 0);
@@ -73,41 +113,34 @@ TEST_F(CoreTest, DesignRespectsBudget) {
 }
 
 TEST_F(CoreTest, ExpectedCostMonotoneInBudget) {
-  CoraddDesigner designer(context_, FastOptions());
   double prev = -1.0;
-  for (uint64_t budget : {0ull, 2ull << 20, 8ull << 20, 32ull << 20}) {
-    const DatabaseDesign d = designer.Design(*workload_, budget);
+  for (const DatabaseDesign& d : CoraddDesigns()) {
     if (prev >= 0.0) {
-      EXPECT_LE(d.expected_seconds, prev + 1e-9) << budget;
+      EXPECT_LE(d.expected_seconds, prev + 1e-9) << d.budget_bytes;
     }
     prev = d.expected_seconds;
   }
 }
 
 TEST_F(CoreTest, ZeroBudgetIsBaseOnlyDesign) {
-  CoraddDesigner designer(context_, FastOptions());
-  const DatabaseDesign d = designer.Design(*workload_, 0);
+  const DatabaseDesign& d = CoraddDesignFor(0);
   ASSERT_EQ(d.objects.size(), 1u);
   EXPECT_TRUE(d.objects[0].spec.is_base);
   EXPECT_EQ(d.object_bytes, 0u);
 }
 
 TEST_F(CoreTest, AtMostOneFactClustering) {
-  CoraddDesigner designer(context_, FastOptions());
-  for (uint64_t budget : {4ull << 20, 64ull << 20}) {
-    const DatabaseDesign d = designer.Design(*workload_, budget);
+  for (const DatabaseDesign& d : CoraddDesigns()) {
     int reclusters = 0;
     for (const auto& obj : d.objects) {
       if (obj.spec.is_fact_recluster && !obj.spec.is_base) ++reclusters;
     }
-    EXPECT_LE(reclusters, 1) << budget;
+    EXPECT_LE(reclusters, 1) << d.budget_bytes;
   }
 }
 
 TEST_F(CoreTest, RunInfoIsPopulated) {
-  CoraddDesigner designer(context_, FastOptions());
-  designer.Design(*workload_, 8ull << 20);
-  const CoraddRunInfo& info = designer.last_run();
+  const CoraddRunInfo info = Coradd().last_run();
   EXPECT_GT(info.candidates_enumerated, 0u);
   EXPECT_GT(info.candidates_after_domination, 0u);
   EXPECT_LE(info.candidates_after_domination, info.candidates_enumerated);
@@ -115,8 +148,7 @@ TEST_F(CoreTest, RunInfoIsPopulated) {
 }
 
 TEST_F(CoreTest, ChosenMvsGetCmsWhenSecondaryAccessWins) {
-  CoraddDesigner designer(context_, FastOptions());
-  const DatabaseDesign d = designer.Design(*workload_, 16ull << 20);
+  const DatabaseDesign& d = CoraddDesignFor(16ull << 20);
   size_t total_cms = 0;
   for (const auto& obj : d.objects) total_cms += obj.cms.size();
   // With a fact re-clustering in the design, date/geography predicates need
@@ -151,9 +183,9 @@ TEST_F(CoreTest, CommercialUsesBTreesNotCms) {
 TEST_F(CoreTest, RunManyMatchesSerialRunsAtAnyThreadCount) {
   // The parallel evaluator contract: RunMany over a sweep of jobs returns
   // exactly what per-job Run calls return, bit for bit, at any pool size.
-  CoraddDesigner designer(context_, FastOptions());
-  const DatabaseDesign d1 = designer.Design(*workload_, 4ull << 20);
-  const DatabaseDesign d2 = designer.Design(*workload_, 16ull << 20);
+  const CoraddDesigner& designer = Coradd();
+  const DatabaseDesign& d1 = CoraddDesignFor(4ull << 20);
+  const DatabaseDesign& d2 = CoraddDesignFor(16ull << 20);
 
   ThreadPool serial_pool(1);
   ExecOptions serial;
@@ -207,9 +239,9 @@ TEST_F(CoreTest, RunManyBuildsEachDistinctObjectOnce) {
   // ObjectSignature) exactly once per RunMany call, at any residency bound:
   // a design repeated in the sweep, or an object shared by two designs,
   // costs no second build.
-  CoraddDesigner designer(context_, FastOptions());
-  const DatabaseDesign d1 = designer.Design(*workload_, 4ull << 20);
-  const DatabaseDesign d2 = designer.Design(*workload_, 16ull << 20);
+  const CoraddDesigner& designer = Coradd();
+  const DatabaseDesign& d1 = CoraddDesignFor(4ull << 20);
+  const DatabaseDesign& d2 = CoraddDesignFor(16ull << 20);
   const std::vector<EvalJob> jobs = {
       EvalJob{&d1, workload_, &designer.model()},
       EvalJob{&d2, workload_, &designer.model()},
@@ -250,11 +282,9 @@ TEST_F(CoreTest, RunManyRejectsShortRoutingVector) {
 TEST_F(CoreTest, RealAndExpectedAgreeOnOrderOfMagnitude) {
   // CORADD-Model tracked reality well in Fig 9; at minimum the two must
   // agree within an order of magnitude on the total.
-  CoraddDesigner designer(context_, FastOptions());
   DesignEvaluator evaluator(context_);
-  const DatabaseDesign d = designer.Design(*workload_, 16ull << 20);
-  const WorkloadRunResult run =
-      evaluator.Run(d, *workload_, designer.model());
+  const WorkloadRunResult run = evaluator.Run(
+      CoraddDesignFor(16ull << 20), *workload_, Coradd().model());
   EXPECT_GT(run.total_seconds, 0.0);
   EXPECT_GT(run.expected_seconds, 0.0);
   EXPECT_LT(run.total_seconds, run.expected_seconds * 10);
@@ -287,51 +317,22 @@ void ExpectDesignsIdentical(const DatabaseDesign& a, const DatabaseDesign& b) {
 }
 }  // namespace
 
-TEST_F(CoreTest, BaselineDesignsUnchangedByCandidateGenCache) {
-  // Naive and Commercial route candidate generation through the context's
-  // CandidateGenCache (fixing the duplicate-work bug where each budget cell
-  // regenerated model-independent specs). A cache-hitting repeat call and a
-  // designer on a fresh cold-cache context must select identical designs.
-  const uint64_t budget = 8ull << 20;
-  NaiveDesigner naive(context_);
-  CommercialDesigner commercial(context_);
-  const DatabaseDesign n1 = naive.Design(*workload_, budget);
-  const DatabaseDesign c1 = commercial.Design(*workload_, budget);
-  const uint64_t hits_before = context_->candgen_cache().stats().cache_hits;
-  const DatabaseDesign n2 = naive.Design(*workload_, budget);
-  const DatabaseDesign c2 = commercial.Design(*workload_, budget);
-  EXPECT_GE(context_->candgen_cache().stats().cache_hits, hits_before + 2);
-  ExpectDesignsIdentical(n1, n2);
-  ExpectDesignsIdentical(c1, c2);
-
-  StatsOptions sopt;
-  sopt.sample_rows = 2048;
-  sopt.disk.page_size_bytes = 1024;
-  DesignContext cold(catalog_, *workload_, sopt);
-  NaiveDesigner cold_naive(&cold);
-  CommercialDesigner cold_commercial(&cold);
-  EXPECT_EQ(cold.candgen_cache().stats().cache_hits, 0u);
-  ExpectDesignsIdentical(n1, cold_naive.Design(*workload_, budget));
-  ExpectDesignsIdentical(c1, cold_commercial.Design(*workload_, budget));
-}
-
 TEST_F(CoreTest, FeedbackNeverHurtsExpectedCost) {
-  CoraddOptions with = FastOptions();
   CoraddOptions without = FastOptions();
   without.use_feedback = false;
-  CoraddDesigner d_with(context_, with);
-  CoraddDesigner d_without(context_, without);
-  for (uint64_t budget : {2ull << 20, 16ull << 20}) {
-    const double c_with = d_with.Design(*workload_, budget).expected_seconds;
-    const double c_without =
-        d_without.Design(*workload_, budget).expected_seconds;
-    EXPECT_LE(c_with, c_without + 1e-9) << budget;
+  const std::vector<uint64_t> budgets = {2ull << 20, 16ull << 20};
+  const std::vector<DatabaseDesign> d_without =
+      CoraddDesigner(context_, without).DesignMany(*workload_, budgets);
+  for (size_t b = 0; b < budgets.size(); ++b) {
+    EXPECT_LE(CoraddDesignFor(budgets[b]).expected_seconds,
+              d_without[b].expected_seconds + 1e-9)
+        << budgets[b];
   }
 }
 
 // The tests above compare designs within one build; this pins every
-// designer's output across commits. Naive, Commercial and CORADD
-// (DesignMany) each design at eight budgets, and every design folds its
+// designer's output across commits. Naive, Commercial and CORADD each
+// design eight budgets in one DesignMany call, and every design folds its
 // designer, budget, objects (by ObjectSignature), routing, bytes and the
 // bits of expected_seconds into one FNV-1a hash. Any change to the constant
 // means a refactor moved a design.
@@ -388,23 +389,19 @@ class DesignerGoldenTest : public CoreTest {
 constexpr uint64_t kGoldenDesignsSsb = 0xbe20b63bb03461c6ull;
 
 TEST_F(DesignerGoldenTest, SsbMatchesSnapshot) {
-  std::vector<uint64_t> budgets;
-  for (const uint64_t mb : {0, 1, 2, 4, 8, 16, 32, 64}) {
-    budgets.push_back(mb << 20);
-  }
+  const std::vector<uint64_t> budgets = Budgets();
   const NaiveDesigner naive(context_);
   const CommercialDesigner commercial(context_);
-  std::vector<DatabaseDesign> designs;
-  for (const uint64_t budget : budgets) {
-    designs.push_back(naive.Design(*workload_, budget));
-  }
-  for (const uint64_t budget : budgets) {
-    designs.push_back(commercial.Design(*workload_, budget));
-  }
-  for (auto& d :
-       CoraddDesigner(context_, FastOptions()).DesignMany(*workload_, budgets)) {
+  std::vector<DatabaseDesign> designs = naive.DesignMany(*workload_, budgets);
+  for (auto& d : commercial.DesignMany(*workload_, budgets)) {
     designs.push_back(std::move(d));
   }
+  for (const DatabaseDesign& d : CoraddDesigns()) designs.push_back(d);
+  // A one-budget Design is the matching element of the grid (budgets[4]
+  // is 8 MB).
+  ExpectDesignsIdentical(naive.Design(*workload_, 8ull << 20), designs[4]);
+  ExpectDesignsIdentical(commercial.Design(*workload_, 8ull << 20),
+                         designs[budgets.size() + 4]);
 
   uint64_t h = 1469598103934665603ull;
   for (const DatabaseDesign& d : designs) {

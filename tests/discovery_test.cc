@@ -8,7 +8,10 @@
 
 #include <atomic>
 #include <algorithm>
+#include <chrono>
 #include <set>
+#include <thread>
+#include <utility>
 
 #include "common/rng.h"
 #include "core/coradd_designer.h"
@@ -46,6 +49,25 @@ TEST(ThreadPoolTest, SingleThreadPoolStillRuns) {
   std::atomic<int> sum{0};
   pool.ParallelFor(100, [&](size_t i) { sum.fetch_add(static_cast<int>(i)); });
   EXPECT_EQ(sum.load(), 4950);
+}
+
+// The one inline rule: a one-worker pool, or a one-index loop, runs every
+// index on the calling thread. Each index sleeps so that a worker, if one
+// were recruited, would have time to claim part of the loop.
+TEST(ThreadPoolTest, RunsInlineOnOneWorkerOrOneIndex) {
+  for (const auto& [workers, n] : {std::pair<size_t, size_t>{1, 100},
+                                   std::pair<size_t, size_t>{4, 1}}) {
+    SCOPED_TRACE(testing::Message() << workers << " workers, n = " << n);
+    ThreadPool pool(workers);
+    std::vector<std::thread::id> ran_on(n);
+    pool.ParallelFor(n, [&](size_t i) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      ran_on[i] = std::this_thread::get_id();
+    });
+    EXPECT_EQ(std::count(ran_on.begin(), ran_on.end(),
+                         std::this_thread::get_id()),
+              static_cast<std::ptrdiff_t>(n));
+  }
 }
 
 // ---------- Miner fixtures ----------
@@ -314,16 +336,22 @@ TEST(DependencyMinerTest, ThreadCountDoesNotChangeResults) {
   opt.afd_error_threshold = 0.08;
   opt.min_soft_strength = 0.0;
 
-  opt.num_threads = 1;
+  ThreadPool pool1(1), pool2(2), pool4(4), pool8(8);
+  opt.pool = &pool1;
   const DiscoveredDependencies one = DependencyMiner(opt).Mine(input);
-  for (size_t threads : {2u, 4u, 8u}) {
-    opt.num_threads = threads;
+  // nullptr mines on ThreadPool::Shared().
+  for (ThreadPool* pool : {&pool2, &pool4, &pool8,
+                           static_cast<ThreadPool*>(nullptr)}) {
+    SCOPED_TRACE(pool != nullptr
+                     ? std::to_string(pool->num_threads()) + " workers"
+                     : std::string("shared pool"));
+    opt.pool = pool;
     const DiscoveredDependencies many = DependencyMiner(opt).Mine(input);
-    ASSERT_EQ(one.fds().size(), many.fds().size()) << threads;
+    ASSERT_EQ(one.fds().size(), many.fds().size());
     for (size_t i = 0; i < one.fds().size(); ++i) {
-      EXPECT_EQ(one.fds()[i].lhs, many.fds()[i].lhs) << threads;
-      EXPECT_EQ(one.fds()[i].rhs, many.fds()[i].rhs) << threads;
-      EXPECT_EQ(one.fds()[i].error, many.fds()[i].error) << threads;
+      EXPECT_EQ(one.fds()[i].lhs, many.fds()[i].lhs);
+      EXPECT_EQ(one.fds()[i].rhs, many.fds()[i].rhs);
+      EXPECT_EQ(one.fds()[i].error, many.fds()[i].error);
     }
     ASSERT_EQ(one.soft_correlations().size(),
               many.soft_correlations().size());
@@ -448,10 +476,7 @@ TEST(DiscoveryOnSsbTest, FindsDateHierarchyExactFds) {
   sopt.disk.page_size_bytes = 1024;
   DesignContext context(catalog.get(), workload, sopt);
 
-  DependencyMiningConfig config;
-  config.miner.num_threads = 2;
-  const DiscoveredDependencies* deps =
-      context.MineDependencies("lineorder", config);
+  const DiscoveredDependencies* deps = context.MineDependencies("lineorder");
   ASSERT_NE(deps, nullptr);
   EXPECT_EQ(context.DependenciesForFact("lineorder"), deps);
 
@@ -512,7 +537,6 @@ TEST(DiscoveryOnSsbTest, MinedDesignWithinTenPercentOfSeeded) {
   // Mined run: every strength the designers consume now comes from the
   // discovery subsystem alone (kMinedOnly — no seeded correlation entries).
   DependencyMiningConfig config;
-  config.miner.num_threads = 2;
   config.source = CorrelationSource::kMinedOnly;
   context.MineAllDependencies(config);
   CoraddDesigner mined(&context, copt);
