@@ -4,16 +4,27 @@
 // batching on vs off, across a (threads x clients) grid. Reports served
 // QPS and p50/p95/p99 latency per cell; --json emits schema-v2
 // BENCH_serving.json with per-repetition qps_*/spq_*/p95_* samples (spq =
-// seconds per query, the lower-is-better form bench_compare gates on).
+// seconds per query, the lower-is-better form bench_compare gates on), plus
+// the shared-scan gate's cpu_qps_* samples when that gate runs.
 //
 // The batching win is WORK REDUCTION, not parallelism, so it survives
 // 1-core CI runners: one cooperative pass gathers each batch's provenance
 // columns once for the whole group, and lookalike dedup executes each
 // DISTINCT query once per group — duplicates (frequent under Zipf skew)
 // receive the bit-identical result without re-running filter/aggregate.
-// `--assert-shared-speedup=X` gates batching-on vs off QPS at the largest
-// client count: exit 1 unless the speedup is >= X and Welch-significant at
-// the 5% level.
+// The closed-loop grid's on/off QPS ratio is reported, not gated: free-
+// running clients let the host's scheduler size the epochs (a shared pass
+// releases all its members at once and the dispatcher drains the first
+// resubmitted ticket alone), and on a 4-core host that ratio read
+// 0.89-1.13x. `--assert-shared-speedup=X` gates batching over FIXED epochs
+// instead: the largest client count's streams are admitted one ticket per
+// client before the engine starts, with the epoch cap at the client count,
+// so both arms run the same tickets in the same epochs, and the metric is
+// served queries per process CPU-second (CLOCK_PROCESS_CPUTIME_ID from
+// Start to the last result). Exit 1 unless batching-on's mean is >= X times
+// off's and Welch-significant at the 5% level, and the engine's counters
+// show the fixed epochs: with batching on one group per epoch and some
+// lookalike hits, with it off no groups and every ticket solo.
 //
 // A maintenance row routes insert batches through the engine concurrently
 // with a single reading client (writer epochs interleave with read epochs)
@@ -31,6 +42,8 @@
 // it. `--pool-pages=N` pins an absolute capacity instead of the sweep.
 #include <algorithm>
 #include <cstdio>
+#include <ctime>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,6 +67,29 @@ using serving::ServingEngine;
 using serving::ServingOptions;
 using serving::ServingRunStats;
 using serving::ServingStats;
+using serving::TicketResult;
+
+double ProcessCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+/// One arm of the fixed-epoch shared-scan gate.
+struct GateArm {
+  std::vector<double> cpu_qps;  ///< served queries per process CPU-second
+  ServingStats stats;           ///< latest pass, or the first that broke
+  bool counters_ok = true;
+};
+
+std::string GateCounters(const ServingStats& s) {
+  return StrFormat("epochs=%llu groups=%llu lookalike_hits=%llu solo=%llu",
+                   static_cast<unsigned long long>(s.epochs),
+                   static_cast<unsigned long long>(s.groups),
+                   static_cast<unsigned long long>(s.lookalike_hits),
+                   static_cast<unsigned long long>(s.solo_executed));
+}
 
 /// Base-only design: every query routed to the PK-clustered base, so every
 /// plan is a full scan of the same object — the maximal-sharing regime a
@@ -122,10 +158,10 @@ int main(int argc, char** argv) {
   json.Config("queries_per_client", static_cast<double>(per_client));
   json.Config("zipf_s", zipf_s);
 
-  // Gate samples: QPS per measured pass at the largest client count, and
-  // warm pool hit rate at the gate pool size.
+  // Gate samples: fixed-epoch CPU throughput per measured pass at the
+  // largest client count, and warm pool hit rate at the gate pool size.
   const size_t gate_clients = client_grid.back();
-  std::vector<double> gate_qps_on, gate_qps_off;
+  GateArm gate_on, gate_off;
   std::vector<double> gate_hit_rate;
 
   PrintHeader(
@@ -168,9 +204,6 @@ int main(int argc, char** argv) {
           h.Sample("spq_" + tag,
                    run.qps > 0.0 ? 1.0 / run.qps : 0.0);
           h.Sample("p95_" + tag, run.p95_latency_seconds);
-          if (clients == gate_clients && !pass.warmup) {
-            (batching ? gate_qps_on : gate_qps_off).push_back(run.qps);
-          }
           if (!pass.reporting) continue;
           PrintRow({std::to_string(threads), std::to_string(clients),
                     batching ? "on" : "off", StrFormat("%.0f", run.qps),
@@ -197,6 +230,69 @@ int main(int argc, char** argv) {
                 BenchJson::Num(static_cast<double>(stats.lookalike_hits))},
                {"epochs",
                 BenchJson::Num(static_cast<double>(stats.epochs))}});
+        }
+      }
+    }
+
+    // --- Shared-scan gate over fixed epochs (see the header): the gate
+    // clients' streams, one ticket per client per epoch, all admitted
+    // before Start, so neither arm's epochs depend on the host's scheduler.
+    if (assert_shared_speedup > 0.0) {
+      ThreadPool pool(2);
+      const size_t tickets = gate_clients * per_client;
+      std::vector<std::vector<size_t>> streams;
+      for (size_t c = 0; c < gate_clients; ++c) {
+        streams.push_back(MakeLookalikeStream(
+            f.workload.queries.size(), per_client, 100 + c, zipf_s));
+      }
+      for (const bool batching : {true, false}) {
+        ServingOptions options;
+        options.shared_scan = batching;
+        options.max_epoch_tickets = gate_clients;
+        // Every ticket is queued before Start, so the queue holds them all.
+        options.admission_capacity = tickets;
+        options.exec.pool = &pool;
+        ServingEngine engine(f.context.get(), &design, &f.workload, &planner,
+                             options);
+        std::vector<std::future<TicketResult>> futures;
+        futures.reserve(tickets);
+        for (size_t i = 0; i < per_client; ++i) {
+          std::vector<size_t> epoch;
+          for (const std::vector<size_t>& stream : streams) {
+            epoch.push_back(stream[i]);
+          }
+          for (auto& fut : engine.SubmitBatch(epoch)) {
+            futures.push_back(std::move(fut));
+          }
+        }
+        const double cpu_start = ProcessCpuSeconds();
+        engine.Start();
+        for (auto& fut : futures) fut.get();
+        const double cpu_seconds = ProcessCpuSeconds() - cpu_start;
+        engine.Stop();
+        const ServingStats stats = engine.stats();
+        const double cpu_qps =
+            cpu_seconds > 0.0 ? static_cast<double>(tickets) / cpu_seconds
+                              : 0.0;
+
+        const bool counters_ok =
+            stats.epochs == per_client &&
+            (batching ? stats.groups == stats.epochs &&
+                            stats.lookalike_hits > 0
+                      : stats.groups == 0 && stats.solo_executed == tickets);
+        GateArm& arm = batching ? gate_on : gate_off;
+        if (arm.counters_ok) arm.stats = stats;
+        arm.counters_ok = arm.counters_ok && counters_ok;
+        if (!pass.warmup) arm.cpu_qps.push_back(cpu_qps);
+        h.Sample(StrFormat("cpu_qps_t2_c%zu_%s", gate_clients,
+                           batching ? "on" : "off"),
+                 cpu_qps);
+        if (pass.reporting) {
+          std::printf(
+              "fixed-epoch gate (2 threads, %zu clients, batching %s): "
+              "%.0f queries per CPU-second, %s\n",
+              gate_clients, batching ? "on" : "off", cpu_qps,
+              GateCounters(stats).c_str());
         }
       }
     }
@@ -366,26 +462,35 @@ int main(int argc, char** argv) {
 
   const int rc = h.Finish();
   if (rc != 0) return rc;
-  if (assert_shared_speedup > 0.0 && !gate_qps_on.empty() &&
-      !gate_qps_off.empty()) {
-    const double on_mean = Summarize(gate_qps_on).mean;
-    const double off_mean = Summarize(gate_qps_off).mean;
+  if (assert_shared_speedup > 0.0 && !gate_on.cpu_qps.empty() &&
+      !gate_off.cpu_qps.empty()) {
+    const double on_mean = Summarize(gate_on.cpu_qps).mean;
+    const double off_mean = Summarize(gate_off.cpu_qps).mean;
     const double speedup = off_mean > 0.0 ? on_mean / off_mean : 0.0;
     const benchkit::WelchResult w =
-        benchkit::WelchTTest(gate_qps_off, gate_qps_on);
-    if (speedup < assert_shared_speedup || !w.significant) {
+        benchkit::WelchTTest(gate_off.cpu_qps, gate_on.cpu_qps);
+    const bool counters_ok = gate_on.counters_ok && gate_off.counters_ok;
+    const std::string counters =
+        StrFormat("counters %s: on %s; off %s",
+                  counters_ok ? "ok" : "BROKEN",
+                  GateCounters(gate_on.stats).c_str(),
+                  GateCounters(gate_off.stats).c_str());
+    if (speedup < assert_shared_speedup || !w.significant || !counters_ok) {
       std::fprintf(stderr,
-                   "FAIL: shared-scan batching QPS speedup %.2fx at %zu "
-                   "clients (need >= %.2fx, Welch %ssignificant, t=%.2f "
-                   "df=%.1f)\n",
-                   speedup, gate_clients, assert_shared_speedup,
-                   w.significant ? "" : "NOT ", w.t, w.df);
+                   "FAIL: shared-scan batching CPU throughput %.2fx at %zu "
+                   "clients in fixed %zu-ticket epochs (need >= %.2fx, "
+                   "Welch %ssignificant, t=%.2f df=%.1f; %s)\n",
+                   speedup, gate_clients, gate_clients,
+                   assert_shared_speedup, w.significant ? "" : "NOT ", w.t,
+                   w.df, counters.c_str());
       return 1;
     }
     std::printf(
-        "shared-scan batching speedup %.2fx at %zu clients (>= %.2fx, "
-        "Welch t=%.2f df=%.1f, significant)\n",
-        speedup, gate_clients, assert_shared_speedup, w.t, w.df);
+        "shared-scan batching CPU throughput %.2fx at %zu clients in fixed "
+        "%zu-ticket epochs (>= %.2fx, Welch t=%.2f df=%.1f, significant; "
+        "%s)\n",
+        speedup, gate_clients, gate_clients, assert_shared_speedup, w.t,
+        w.df, counters.c_str());
   }
   if (assert_hit_rate > 0.0 && !gate_hit_rate.empty()) {
     const double mean = Summarize(gate_hit_rate).mean;
